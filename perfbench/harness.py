@@ -1,17 +1,24 @@
 """Measurement core: host-speed probe, closed-loop timing, statistics.
 
-Host time on a shared machine drifts: the same pure-Python code can
-take twice as long a second later.  Every in-process workload therefore
-times a fixed reference kernel (the *probe*) around each op and scales
-the op's host time by ``NOMINAL_PROBE_S / measured_probe``, so a slow
-patch of host time slows the probe and the op alike and cancels out.
-Units stay seconds.  Two probes exist: a pure-Python kernel for the
-interpreter-bound workloads, and a bulk copy plus sha256 kernel for the
-fleet, whose jobs are mostly RAM copies and state digests.
+Host time on a shared machine drifts in two ways.  The host can take
+the CPU away (another process, or the hypervisor stealing the virtual
+CPU): wall-clock time grows while this thread does no work.  And the
+CPU itself can run slower (cache and memory contention, frequency): the
+same pure-Python code can take twice as long a second later.  Every op
+is therefore timed in CPU time of the benchmark thread
+(:func:`cpu_clock`), which does not count time the thread was not
+running, and a fixed reference kernel (the *probe*) is timed the same
+way around each op.  The op's CPU time is scaled by
+``NOMINAL_PROBE_S / measured_probe``, so a slow patch of host speed
+slows the probe and the op alike and cancels out.  Units stay seconds.
+Two probes exist: a pure-Python kernel for the interpreter-bound
+workloads, and a bulk copy plus sha256 kernel for jobs that are mostly
+RAM copies and state digests.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import resource
@@ -23,6 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 #: What one probe takes on the reference host (seconds).  Scaled times
 #: read as "host time on a host whose probe takes exactly this long".
 NOMINAL_PROBE_S = 1.0e-3
+
+#: CPU time of the calling thread: ops and probes run in this thread.
+cpu_clock = time.thread_time
 
 #: A tail percentile is reported only with at least this many samples
 #: beyond it.
@@ -43,13 +53,17 @@ def probe_kernel(rounds: int = 2200) -> int:
     return acc
 
 
-_BLOCK = bytes(1 << 20)
+#: As large as the guest RAM a state digest copies: a smaller buffer
+#: stays in the CPU caches and misses the memory and page-fault costs
+#: the digests pay.
+_RAM = bytearray(16 << 20)
 
 
 def copy_hash_kernel() -> bytes:
-    """The fleet's reference kernel: copy 1 MiB and sha256 it, the
-    native work a state digest does per MiB of guest RAM."""
-    return hashlib.sha256(bytearray(_BLOCK)).digest()
+    """The digest reference kernel: copy 16 MiB out of a bytearray and
+    sha256 the copy, the native work one state digest does on a 16 MiB
+    guest RAM."""
+    return hashlib.sha256(bytes(_RAM)).digest()
 
 
 @dataclass(frozen=True)
@@ -60,13 +74,13 @@ class Probe:
     nominal_s: float = NOMINAL_PROBE_S
 
     def time(self) -> float:
-        start = time.perf_counter()
+        start = cpu_clock()
         self.kernel()
-        return time.perf_counter() - start
+        return cpu_clock() - start
 
 
 PYTHON_PROBE = Probe(probe_kernel)
-COPY_HASH_PROBE = Probe(copy_hash_kernel)
+COPY_HASH_PROBE = Probe(copy_hash_kernel, nominal_s=16 * NOMINAL_PROBE_S)
 
 
 def scale(raw_s: float, probe_before_s: float, probe_after_s: float,
@@ -132,7 +146,13 @@ class OpLog:
     failed: int = 0
     sim_s: float = 0.0
     guest_insns: int = 0
+    #: Summed (scaled) host time of the completed ops.
     host_s: float = 0.0
+
+    def throughput(self) -> float:
+        """Completed ops per second of summed op time: every slow op
+        counts, not just the middle one."""
+        return len(self.latencies_s) / self.host_s if self.host_s else 0.0
 
     def tail_samples(self) -> List[float]:
         """Latencies with every failed op counted as missing any limit."""
@@ -141,14 +161,16 @@ class OpLog:
 
 def closed_loop(op: Callable[[int], "OpResult"], seconds: float,
                 probe: Optional[Probe], max_ops: Optional[int] = None,
-                stop: Callable[[], bool] = lambda: False) -> OpLog:
+                stop: Callable[[], bool] = lambda: False,
+                settle: Optional[Callable[[], object]] = None) -> OpLog:
     """Run ``op(0)``, ``op(1)``, ... back to back for ``seconds`` of
-    host time (or ``max_ops`` ops, or until ``stop()`` is true).
+    wall-clock time (or ``max_ops`` ops, or until ``stop()`` is true).
 
-    Each op's host time is bracketed by probes and, given a ``probe``,
+    Each op's CPU time is bracketed by probes and, given a ``probe``,
     reported at its nominal speed (raw otherwise; the pure-Python probe
-    is still timed so host drift shows).  An op that raises or returns
-    ``ok=False`` is counted as failed."""
+    is still timed so host drift shows).  ``settle`` runs untimed after
+    each op.  An op that raises or returns ``ok=False`` is counted as
+    failed."""
     log = OpLog()
     timer = probe or PYTHON_PROBE
     deadline = time.perf_counter() + seconds
@@ -158,12 +180,14 @@ def closed_loop(op: Callable[[int], "OpResult"], seconds: float,
             break
         index = log.attempted
         log.attempted += 1
-        start = time.perf_counter()
+        start = cpu_clock()
         try:
             result = op(index)
         except Exception as exc:  # noqa: BLE001 - counted, then reported
             result = OpResult(ok=False, error=f"{type(exc).__name__}: {exc}")
-        raw = time.perf_counter() - start
+        raw = cpu_clock() - start
+        if settle is not None:
+            settle()
         after = timer.time()
         log.probes_s.append(before)
         factor = scale(1.0, before, after, timer.nominal_s) if probe \
@@ -192,22 +216,22 @@ class OpResult:
     error: str = ""
     sim_s: float = 0.0
     guest_insns: int = 0
-    #: Raw host seconds of named parts of the op (per packet type).
+    #: Raw CPU seconds of named parts of the op (per packet type).
     parts_s: Dict[str, float] = field(default_factory=dict)
 
 
-def median_setup(build: Callable[[], object], teardown: Callable[[object], None],
-                 repeats: int, probe: Optional[Probe]) -> float:
-    """Median set-up time over ``repeats`` fresh builds."""
+def median_setup(build: Callable[[], object], repeats: int,
+                 probe: Optional[Probe]) -> float:
+    """Median set-up (CPU) time over ``repeats`` fresh builds."""
     times = []
     timer = probe or PYTHON_PROBE
     for _ in range(repeats):
         before = timer.time()
-        start = time.perf_counter()
-        built = build()
-        raw = time.perf_counter() - start
+        start = cpu_clock()
+        build()
+        raw = cpu_clock() - start
         after = timer.time()
-        teardown(built)
+        gc.collect()   # built machines sit in reference cycles
         times.append(scale(raw, before, after, timer.nominal_s) if probe
                      else raw)
     return statistics.median(times)

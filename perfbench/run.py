@@ -19,6 +19,7 @@ import json
 import math
 import statistics
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -30,7 +31,7 @@ import harness  # noqa: E402
 from harness import OpLog, closed_loop, median_setup, percentile  # noqa: E402
 from tracer import ROOT as ROOT_SPAN  # noqa: E402
 from tracer import Tracer, layer_self_ms, op_durations, self_times  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import FLEET_OP_BASE, WORKLOADS, ExecSlicesJob  # noqa: E402
 
 BUDGET_CATEGORIES = ("guest", "driver", "world_switch", "emulation",
                      "interrupt", "copy")
@@ -77,12 +78,6 @@ class Phase:
                 result = workload.op(absolute)
             finally:
                 tracer.end_op()
-            if result.ok and hasattr(workload, "replica"):
-                tracer.begin_op(-2 - index)
-                try:
-                    workload.replica(absolute)
-                finally:
-                    tracer.end_op()
         if absolute + 1 == workload.check_after:
             self.checked = workload.counters()
         return result
@@ -92,7 +87,9 @@ class Phase:
         self.stats_before = workload.stats()
         log = closed_loop(self._op, seconds, workload.probe, max_ops=max_ops,
                           stop=(lambda: tracer.full) if tracer else
-                          (lambda: False))
+                          (lambda: False),
+                          settle=gc.collect if workload.collect_between_ops
+                          else None)
         self.stats_after = workload.stats()
         self.factors = dict(enumerate(log.factors))
         return log
@@ -112,19 +109,19 @@ def _check_counters(workload, checked, label: str, errors: list) -> None:
 # ----------------------------------------------------------------------
 
 def end_to_end(workload, log: OpLog, setup_s: float, rss_mb: float) -> dict:
-    """One client, one op in flight: throughput is the reciprocal of the
-    op time, taken at the median so one stalled op does not move it."""
+    """One client, one op in flight: throughput and simulated speed are
+    totals over summed op time, so slow ops count in full; the
+    percentiles describe single ops."""
     latencies = log.latencies_s
     p50_s = statistics.median(latencies) if latencies else math.inf
-    sim_per_op = log.sim_s / len(latencies) if latencies else 0.0
     return {
         "setup_s": (setup_s, "s"),
-        "ops_per_s": (1.0 / p50_s, "1/s"),
+        "ops_per_s": (log.throughput(), "1/s"),
         "latency_p50_ms": (p50_s * 1e3, "ms"),
         "latency_tail_ms": (percentile(log.tail_samples(),
                                        workload.tail_pct) * 1e3, "ms"),
         "peak_rss_mb": (rss_mb, "MiB"),
-        "sim_s_per_host_s": (sim_per_op / p50_s, "s/s"),
+        "sim_s_per_host_s": (_ratio(log.sim_s, log.host_s), "s/s"),
     }
 
 
@@ -136,8 +133,8 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def per_layer(workload, untraced: OpLog, phase_u: Phase, phase_t: Phase,
-              tracer: Tracer) -> dict:
+def per_layer(workload, untraced: OpLog, traced: OpLog, phase_u: Phase,
+              phase_t: Phase, tracer: Tracer) -> dict:
     ops_u = max(1, len(untraced.latencies_s))
     before, after = phase_u.stats_before, phase_u.stats_after
     d = lambda key: _delta(before, after, key)  # noqa: E731
@@ -206,13 +203,10 @@ def per_layer(workload, untraced: OpLog, phase_u: Phase, phase_t: Phase,
         "guest.os.tick_ms": ms("guest.os"),
         "hw.scsi.port_ms": ms("hw.scsi"),
         "hw.nic.mmio_ms": ms("hw.nic"),
-        # fleet: supervisor polling, and idling while the worker runs
-        "fleet.poll_ms": ms("fleet.poll", "fleet.submit", "fleet.dispatch"),
-        "fleet.wait_ms": ms("fleet.wait"),
-        "obs.metrics_ms": ms("obs.metrics"),
     })
     metrics.update(_fig31_layers(workload, tracer, before, after))
-    metrics.update(_fleet_layers(workload, tracer))
+    metrics.update(_fleet_layers(workload, untraced, tracer, factors,
+                                 traced_ops))
     # hw.machine
     builds = [span[3] - span[2] for span in spans
               if span[1] == "hw.machine.build"]
@@ -227,8 +221,8 @@ def per_layer(workload, untraced: OpLog, phase_u: Phase, phase_t: Phase,
     metrics["host.probe_ms"] = statistics.median(untraced.probes_s) * 1e3
     metrics["host.probe_spread"] = harness.spread(untraced.probes_s)
     metrics["trace.overhead_ratio"] = _ratio(
-        statistics.median(traced_ms) if traced_ms else 0.0,
-        statistics.median(untraced.latencies_s) * 1e3)
+        statistics.median(traced.latencies_s) if traced.latencies_s else 0.0,
+        statistics.median(untraced.latencies_s))
     metrics["trace.attributed_share"] = _ratio(
         sum(traced_ms) - root_ms, sum(traced_ms))
     metrics["trace.ops"] = len(traced_ops)
@@ -265,60 +259,73 @@ def _fig31_layers(workload, tracer, before, after) -> dict:
     return out
 
 
-def _fleet_layers(workload, tracer) -> dict:
-    """Supervisor-side spans of the fleet ops and worker-side spans of
-    their in-process replicas (op ids below -1)."""
-    names = ("fleet.queue_wait_ms", "fleet.dispatch_to_result_ms",
+def _fleet_layers(workload, untraced: OpLog, tracer, factors,
+                  traced_ops) -> dict:
+    """Worker side from the measured ops (the worker's job run in this
+    process); supervisor side from the fleet jobs the traced run sent
+    to a real worker (op ids from ``FLEET_OP_BASE`` down)."""
+    names = ("fleet.poll_ms", "fleet.wait_ms", "obs.metrics_ms",
+             "fleet.queue_wait_ms", "fleet.dispatch_to_result_ms",
              "fleet.worker_exec_ms", "replay.digest_share",
              "fleet.polls_per_job", "fleet.result_bytes",
              "obs.snapshot_bytes", "replay.digests_per_job",
              "replay.digest_ms", "replay.digest_bytes_per_job",
              "replay.frames_per_job", "replay.journal_bytes_per_job")
     out = dict.fromkeys(names, 0.0)
-    if not hasattr(workload, "replica"):
+    if not isinstance(workload, ExecSlicesJob) or not traced_ops:
         return out
     spans = tracer.spans
-    durations = op_durations(spans)
-    jobs = sorted(op for op in durations if op >= 0)
-    replicas = [op for op in durations if op <= -2]
-    if not jobs or not replicas:
-        return out
-    waits, to_result = [], []
-    for op in jobs:
-        root = next(s for s in spans if s[0] == op and s[1] == ROOT_SPAN)
-        dispatch = [s for s in spans if s[0] == op
-                    and s[1] == "fleet.dispatch"]
+    by_op = defaultdict(list)
+    for span in spans:
+        by_op[span[0]].append(span)
+    fleet_ops = [op for op in by_op if op <= FLEET_OP_BASE]
+    # Supervisor side: raw wall time, as the supervisor mostly waits on
+    # the worker process.
+    fleet_ms = layer_self_ms(spans, {}, fleet_ops)
+    waits, to_result, polls = [], [], []
+    for op in fleet_ops:
+        root = next(s for s in by_op[op] if s[1] == ROOT_SPAN)
+        dispatch = [s for s in by_op[op] if s[1] == "fleet.dispatch"]
+        polls.append(sum(1 for s in by_op[op] if s[1] == "fleet.poll"))
         if dispatch:
             waits.append(dispatch[0][2] - root[2])
             to_result.append(root[3] - dispatch[0][2])
-    exec_s = statistics.median(workload.replica_s)
-    replica_self = self_times([s for s in spans if s[0] <= -2])
-    digests = [sum(1 for s in spans if s[0] == op
-                   and s[1] == "replay.digest") for op in replicas]
-    digest_s = [replica_self[op].get("replay.digest", 0.0)
-                for op in replicas]
+    totals = self_times(spans)
+    durations = op_durations(spans)
+    digests = statistics.median(
+        sum(1 for s in by_op[op] if s[1] == "replay.digest")
+        for op in traced_ops)
+    digest_s = statistics.median(
+        totals[op].get("replay.digest", 0.0) * factors.get(op, 1.0)
+        for op in traced_ops)
+    job_s = statistics.median(durations[op] * factors.get(op, 1.0)
+                              for op in traced_ops)
+    recorder = workload.last_job.recorder.stats()
     out.update({
-        "fleet.queue_wait_ms": statistics.median(waits) * 1e3
-        if waits else 0.0,
-        "fleet.dispatch_to_result_ms": statistics.median(to_result) * 1e3
-        if to_result else 0.0,
-        "fleet.worker_exec_ms": exec_s * 1e3,
-        "fleet.polls_per_job": tracer.calls.get("fleet.poll", 0) / len(jobs),
-        "fleet.result_bytes": workload.result_bytes(),
-        "obs.snapshot_bytes": workload.snapshot_bytes(),
-        "replay.digests_per_job": statistics.median(digests),
-        "replay.digest_ms": statistics.median(digest_s) * 1e3,
-        "replay.digest_bytes_per_job": statistics.median(digests)
-        * workload.memory_bytes,
-        "replay.frames_per_job": workload.replica_stats["frames"],
-        "replay.journal_bytes_per_job":
-            workload.replica_stats["journal_bytes"],
+        # polling, and idling while the worker runs
+        "fleet.poll_ms": sum(fleet_ms.get(name, 0.0) for name in
+                             ("fleet.poll", "fleet.submit", "fleet.dispatch")),
+        "fleet.wait_ms": fleet_ms.get("fleet.wait", 0.0),
+        "obs.metrics_ms": fleet_ms.get("obs.metrics", 0.0),
+        "fleet.queue_wait_ms": _median_ms(waits),
+        "fleet.dispatch_to_result_ms": _median_ms(to_result),
+        "fleet.worker_exec_ms": _median_ms(untraced.latencies_s),
+        "replay.digest_share": _ratio(digest_s, job_s),
+        "fleet.polls_per_job": statistics.median(polls) if polls else 0.0,
+        "fleet.result_bytes": workload.result_bytes,
+        "obs.snapshot_bytes": workload.snapshot_bytes,
+        "replay.digests_per_job": digests,
+        "replay.digest_ms": digest_s * 1e3,
+        "replay.digest_bytes_per_job":
+            digests * workload.last_job.machine.memory.size,
+        "replay.frames_per_job": recorder["frames"],
+        "replay.journal_bytes_per_job": recorder["journal_bytes"],
     })
-    # The replica runs in this process, which is not a timing proxy for
-    # the worker process; its digest share of the job is.
-    replica_ms = statistics.median(durations[op] for op in replicas) * 1e3
-    out["replay.digest_share"] = _ratio(out["replay.digest_ms"], replica_ms)
     return out
+
+
+def _median_ms(values) -> float:
+    return statistics.median(values) * 1e3 if values else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -329,67 +336,65 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
                  smoke: bool = False) -> dict:
     workload = WORKLOADS[name](seed)
     errors = []
-    try:
-        if smoke:
-            _prepare(workload, workload.build())
-            phase = Phase(workload)
-            log = phase.run(math.inf, max_ops=max(
-                1, workload.check_after - workload.warmup_ops))
-            _check_counters(workload, phase.checked, "smoke", errors)
-            if log.failed:
-                errors.append(f"{log.failed} op(s) failed")
-            return {"correct": not errors, "errors": errors,
-                    "attempted": log.attempted, "failed": log.failed,
-                    "counters": phase.checked}
-
-        setup_s = median_setup(workload.build, workload.teardown,
-                               workload.setup_repeats, workload.probe)
-        gc.collect()
+    if smoke:
         _prepare(workload, workload.build())
-        measure_s = seconds / 2.0 if trace else seconds
-        phase_u = Phase(workload)
-        untraced = phase_u.run(measure_s)
-        _check_counters(workload, phase_u.checked, "untraced", errors)
-        attempted, failed = untraced.attempted, untraced.failed
-        workload.close()
-        if trace:
-            tracer = Tracer()
-            tracer.install()
-            workload.tracer = tracer
-            try:
-                tracer.begin_op(-1)   # set-up spans (machine builds)
-                built = workload.build()
-                tracer.end_op()
-                _prepare(workload, built)
-                phase_t = Phase(workload, tracer)
-                traced = phase_t.run(measure_s)
-            finally:
-                tracer.uninstall()
-            _check_counters(workload, phase_t.checked, "traced", errors)
-            if None not in (phase_t.checked, phase_u.checked) \
-                    and phase_t.checked != phase_u.checked:
-                errors.append("simulated counters differ between the "
-                              "traced and untraced runs")
-            attempted += traced.attempted
-            failed += traced.failed
-            values = per_layer(workload, untraced, phase_u, phase_t, tracer)
-            metrics = {key: (value, _unit(key))
-                       for key, value in values.items()}
-        else:
-            rss = harness.peak_rss_mb(workload.child_processes)
-            metrics = end_to_end(workload, untraced, setup_s, rss)
-        if failed:
-            errors.append(f"{failed} of {attempted} op(s) failed")
-        if not harness.tail_ok(len(untraced.latencies_s), workload.tail_pct):
-            print(f"warning: fewer than {harness.MIN_BEYOND} samples beyond "
-                  f"p{workload.tail_pct:g} ({len(untraced.latencies_s)} ops)")
+        phase = Phase(workload)
+        log = phase.run(math.inf, max_ops=max(
+            1, workload.check_after - workload.warmup_ops))
+        _check_counters(workload, phase.checked, "smoke", errors)
+        if log.failed:
+            errors.append(f"{log.failed} op(s) failed")
         return {"correct": not errors, "errors": errors,
-                "attempted": attempted, "failed": failed,
-                "metrics": metrics,
-                "probe_ms": (statistics.median(untraced.probes_s) * 1e3,
-                             harness.spread(untraced.probes_s))}
-    finally:
-        workload.close()
+                "attempted": log.attempted, "failed": log.failed,
+                "counters": phase.checked}
+
+    setup_s = median_setup(workload.build, workload.setup_repeats,
+                           workload.probe)
+    gc.collect()
+    _prepare(workload, workload.build())
+    measure_s = seconds / 2.0 if trace else seconds
+    phase_u = Phase(workload)
+    untraced = phase_u.run(measure_s)
+    _check_counters(workload, phase_u.checked, "untraced", errors)
+    attempted, failed = untraced.attempted, untraced.failed
+    if trace:
+        tracer = Tracer()
+        tracer.install()
+        workload.tracer = tracer
+        try:
+            tracer.begin_op(-1)   # set-up spans (machine builds)
+            built = workload.build()
+            tracer.end_op()
+            _prepare(workload, built)
+            phase_t = Phase(workload, tracer)
+            traced = phase_t.run(measure_s)
+        finally:
+            tracer.uninstall()
+        _check_counters(workload, phase_t.checked, "traced", errors)
+        if None not in (phase_t.checked, phase_u.checked) \
+                and phase_t.checked != phase_u.checked:
+            errors.append("simulated counters differ between the "
+                          "traced and untraced runs")
+        attempted += traced.attempted
+        failed += traced.failed
+        values = per_layer(workload, untraced, traced, phase_u, phase_t,
+                           tracer)
+        metrics = {key: (value, _unit(key))
+                   for key, value in values.items()}
+    else:
+        rss = harness.peak_rss_mb(workload.child_processes)
+        metrics = end_to_end(workload, untraced, setup_s, rss)
+    if failed:
+        errors.append(f"{failed} of {attempted} op(s) failed")
+    if not trace and not harness.tail_ok(len(untraced.latencies_s),
+                                         workload.tail_pct):
+        print(f"warning: fewer than {harness.MIN_BEYOND} samples beyond "
+              f"p{workload.tail_pct:g} ({len(untraced.latencies_s)} ops)")
+    return {"correct": not errors, "errors": errors,
+            "attempted": attempted, "failed": failed,
+            "metrics": metrics,
+            "probe_ms": (statistics.median(untraced.probes_s) * 1e3,
+                         harness.spread(untraced.probes_s))}
 
 
 def _unit(metric: str) -> str:

@@ -13,8 +13,8 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(BENCH))
 
-from harness import (NOMINAL_PROBE_S, beyond, percentile, scale,  # noqa: E402
-                     tail_ok)
+from harness import (NOMINAL_PROBE_S, OpLog, OpResult,  # noqa: E402
+                     beyond, closed_loop, percentile, scale, tail_ok)
 from tracer import ROOT, layer_self_ms, op_durations, self_times  # noqa: E402
 
 
@@ -52,6 +52,22 @@ class TestProbeScaling:
     def test_uses_the_mean_of_both_probes(self):
         assert scale(3.0, 0.5 * NOMINAL_PROBE_S, 1.5 * NOMINAL_PROBE_S) \
             == pytest.approx(3.0)
+
+
+class TestThroughput:
+    def test_slow_ops_count_in_full(self):
+        # 95 ops of 1 ms and 5 of 10 ms: the median does not move, the
+        # throughput drops by about a third.
+        log = OpLog(latencies_s=[1e-3] * 95 + [1e-2] * 5)
+        log.host_s = sum(log.latencies_s)
+        assert log.throughput() == pytest.approx(100 / 0.145)
+
+
+def test_settle_runs_outside_the_timed_op():
+    log = closed_loop(lambda index: OpResult(), 10.0, None, max_ops=3,
+                      settle=lambda: sum(range(300_000)))
+    assert log.attempted == 3
+    assert max(log.latencies_s) < 1e-3
 
 
 def _span(op, name, start, end, parent):
@@ -99,6 +115,6 @@ def _smoke():
 
 def test_smoke_counters_repeat_exactly():
     first, second = _smoke(), _smoke()
-    assert set(first) == {"debug-roundtrip", "guest-kernel", "fleet-job",
+    assert set(first) == {"debug-roundtrip", "guest-kernel", "exec-slices",
                           "fig31-transfer"}
     assert first == second

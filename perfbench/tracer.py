@@ -10,7 +10,9 @@ CPU's trap hooks) bind the wrapper.
 Each span is ``(op, name, start, end, parent)``; all spans of one op
 share the op id, and every op has a root span named ``op``.  Spans stay
 in memory until the run ends; a layer's self time is its spans'
-durations minus the time their child spans cover.
+durations minus the time their child spans cover.  Span times are
+wall-clock (``time.perf_counter``): a CPU clock costs several times
+more per call, and the supervisor side of a fleet job mostly waits.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import importlib
 import time
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: The layer table: (module, attribute path, span name).  A span name's
@@ -79,7 +81,7 @@ ENTRY_POINTS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.fleet.supervisor", "Fleet.submit", "fleet.submit"),
     ("repro.fleet.supervisor", "Fleet.poll", "fleet.poll"),
     ("repro.fleet.supervisor", "Fleet._send_job", "fleet.dispatch"),
-    ("workloads", "FleetJob._wait", "fleet.wait"),
+    ("workloads", "ExecSlicesJob._wait", "fleet.wait"),
     ("repro.fleet.worker", "ExecSlices.__init__", "fleet.worker"),
     ("repro.fleet.worker", "ExecSlices.step", "fleet.worker"),
     ("repro.fleet.worker", "ExecSlices.result", "fleet.worker"),
@@ -103,8 +105,9 @@ class Tracer:
         self.recording = False
         self._stack: List[int] = []
         self._patches: List[Tuple[object, str, object]] = []
-        #: Machines built while tracing (fig31 builds one per op).
-        self.machines: list = []
+        #: The latest machines built while tracing (fig31 builds one per
+        #: op); bounded, as each holds its guest RAM.
+        self.machines: deque = deque(maxlen=8)
 
     # -- installation ----------------------------------------------------
 

@@ -17,8 +17,7 @@ import time
 from typing import Dict, List, Optional
 
 from harness import COPY_HASH_PROBE, PYTHON_PROBE, OpResult, Probe
-
-clock = time.perf_counter
+from harness import cpu_clock as clock
 
 
 class Workload:
@@ -30,7 +29,10 @@ class Workload:
     #: Tail percentile: the highest one with ten samples beyond it at
     #: the op rate this workload reaches in a run.
     tail_pct = 90.0
-    setup_repeats = 5
+    setup_repeats = 41
+    #: Collect garbage after every op (untimed): for ops whose objects
+    #: only a full collection frees.
+    collect_between_ops = False
     warmup_ops = 10
     #: Ops (warm-up included) after which ``counters()`` is taken.
     check_after = 20
@@ -44,9 +46,6 @@ class Workload:
     def build(self):
         raise NotImplementedError
 
-    def teardown(self, built) -> None:
-        pass
-
     def adopt(self, built) -> None:
         raise NotImplementedError
 
@@ -58,9 +57,6 @@ class Workload:
 
     def stats(self) -> Dict[str, float]:
         return {}
-
-    def close(self) -> None:
-        pass
 
 
 def _cpu_stats(machine, monitor) -> Dict[str, float]:
@@ -207,6 +203,10 @@ class GuestKernel(Workload):
     fixed here at about one IRQ per 2k instructions."""
 
     name = "guest-kernel"
+    #: A slice that lands in a burst of host contention can take twice
+    #: its time even probe-scaled, and bursts covering more than a tenth
+    #: of a run happen: p90 followed them, p75 does not.
+    tail_pct = 75.0
     SLICE = 20_000
     TIMER_HZ = 600_000
     BUSY_LOOPS = 2_000
@@ -259,37 +259,42 @@ class GuestKernel(Workload):
 
 
 # ----------------------------------------------------------------------
-# fleet-job
+# exec-slices
 # ----------------------------------------------------------------------
 
-def exec_job(params: Dict):
-    """The in-process replica of a fleet ``exec-slices`` job: the same
-    steps :func:`repro.fleet.worker.run_exec_slices` takes, keeping the
-    job object so its machine and recorder can be inspected."""
-    from repro.fleet import worker
-    job = worker.ExecSlices(params)
-    while not job.finished:
-        job.step()
-    return job, job.result()
+#: Op ids of the fleet jobs a traced run records: below the ids of the
+#: measured ops (>= 0) and of set-up (-1).
+FLEET_OP_BASE = -2
 
 
-class FleetJob(Workload):
-    """One op is one ``exec-slices`` job (record on) on a 1-worker
-    fleet, timed from submit to result.  The job's guest is seeded: four
-    variants per run, each checked against the digests of an in-process
-    replica run with the same parameters."""
+class ExecSlicesJob(Workload):
+    """One op is one fleet ``exec-slices`` job (record on) run the way
+    the fleet worker runs it: :class:`repro.fleet.worker.ExecSlices`
+    built, stepped to the end, its result taken.  It runs in the
+    benchmark's thread so its CPU time can be probe-scaled; timed
+    submit-to-result over a worker process, the job time was dominated
+    by host scheduling.  The job's guest is seeded: four variants per
+    run.
 
-    name = "fleet-job"
+    Before each measured phase the variants also run, untimed, as real
+    jobs on a 1-worker fleet: every op's digests must equal the
+    worker's, and in the traced run those jobs give the supervisor-side
+    metrics (queue wait, dispatch to result, polls)."""
+
+    name = "exec-slices"
     probe = COPY_HASH_PROBE
-    #: ~9 jobs/s: p90 would have barely ten samples beyond it, and one
-    #: stalled worker moves it by a third; p75 holds steady.
+    #: ~4 jobs/s: a run holds ~90 ops, too few for ten beyond p90.
     tail_pct = 75.0
+    #: Peak memory includes the fleet worker.
     child_processes = True
-    setup_repeats = 3
+    #: Each job's 16 MiB machine sits in reference cycles.
+    collect_between_ops = True
     warmup_ops = 4
     check_after = 5
     POLL_S = 0.0005
     VARIANTS = 4
+    #: Fleet jobs per variant before each measured phase.
+    FLEET_ROUNDS = 2
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
@@ -302,100 +307,96 @@ class FleetJob(Workload):
             self.jobs.append({"slices": 4, "slice_insns": 2000,
                               "record": True, "seed": start,
                               "guest_body": body})
-        self.reference: List[Dict] = []
-        self.fleet = None
-        #: Set by the traced run: the tracer, and the untraced replica
-        #: durations it measures.
+        #: Per variant: the fleet worker's result.
+        self.fleet_results: List[Dict] = []
+        #: Set by the traced run.
         self.tracer = None
-        self.replica_s: List[float] = []
-
-    def references(self) -> None:
-        """Replica digests and simulated cycles for every variant."""
-        for params in self.jobs:
-            job, result = exec_job(dict(params))
-            self.reference.append({
-                "digests": result["digests"],
-                "instret": result["instret"],
-                "sim_s": job.machine.cpu.cycle_count
-                / job.machine.config.cpu_hz,
-            })
+        self.last_job = None
+        #: CPU, interpreter and monitor counters summed over all ops.
+        self.totals: Dict[str, float] = {}
 
     def build(self):
-        from repro.fleet.supervisor import Fleet, FleetConfig
-        fleet = Fleet(FleetConfig(workers=1, hang_timeout=60.0)).start()
-        if not fleet.wait_ready(timeout=120.0):
-            fleet.shutdown()
-            raise RuntimeError("fleet worker never became ready")
-        return fleet
-
-    def teardown(self, built) -> None:
-        built.shutdown()
+        """A job ready to run: machine, LVMM, recorder, booted guest."""
+        from repro.fleet.worker import ExecSlices
+        return ExecSlices(dict(self.jobs[0]))
 
     def adopt(self, built) -> None:
-        self.fleet = built
-        if not self.reference:
-            self.references()
-        self.last_record = None
+        self._run_fleet()
 
-    def op(self, index: int) -> OpResult:
+    def _run_fleet(self) -> None:
+        """Run every variant ``FLEET_ROUNDS`` times on a 1-worker fleet;
+        the rounds must agree."""
         from repro.fleet.jobs import (STATUS_DEAD_LETTER, STATUS_DONE,
                                       STATUS_SHED, Job)
+        from repro.fleet.supervisor import Fleet, FleetConfig
         finished = (STATUS_DONE, STATUS_DEAD_LETTER, STATUS_SHED)
-        variant = index % self.VARIANTS
-        fleet = self.fleet
-        record = fleet.submit(Job(kind="exec-slices",
-                                  params=dict(self.jobs[variant]),
-                                  priority=9, timeout_s=60.0))
-        deadline = clock() + 60.0
-        while clock() < deadline:
-            fleet.poll()
-            if record.status in finished:
-                break
-            self._wait()
-        self.last_record = record
-        reference = self.reference[variant]
-        if record.status != STATUS_DONE:
-            return OpResult(ok=False, error=f"job {record.status}: "
-                                            f"{record.error}")
-        if record.result["digests"] != reference["digests"]:
-            return OpResult(ok=False, error="job digests differ from the "
-                                            "in-process replica")
-        return OpResult(sim_s=reference["sim_s"],
-                        guest_insns=record.result["instret"])
-
-    def counters(self) -> Dict:
-        return {"digests": [ref["digests"] for ref in self.reference],
-                "instret": [ref["instret"] for ref in self.reference]}
-
-    def close(self) -> None:
-        if self.fleet is not None:
-            self.fleet.shutdown()
-            self.fleet = None
+        tracer = self.tracer
+        results: List[Dict] = []
+        fleet = Fleet(FleetConfig(workers=1, hang_timeout=60.0)).start()
+        try:
+            if not fleet.wait_ready(timeout=120.0):
+                raise RuntimeError("fleet worker never became ready")
+            for index in range(self.FLEET_ROUNDS * self.VARIANTS):
+                variant = index % self.VARIANTS
+                if tracer is not None:
+                    tracer.begin_op(FLEET_OP_BASE - index)
+                try:
+                    record = fleet.submit(Job(
+                        kind="exec-slices", params=dict(self.jobs[variant]),
+                        priority=9, timeout_s=60.0))
+                    deadline = time.perf_counter() + 60.0
+                    while time.perf_counter() < deadline:
+                        fleet.poll()
+                        if record.status in finished:
+                            break
+                        self._wait()
+                finally:
+                    if tracer is not None:
+                        tracer.end_op()
+                if record.status != STATUS_DONE:
+                    raise RuntimeError(f"fleet job {record.status}: "
+                                       f"{record.error}")
+                if index < self.VARIANTS:
+                    results.append(record.result)
+                elif record.result["digests"] != results[variant]["digests"]:
+                    raise RuntimeError("two fleet runs of one job gave "
+                                       "different digests")
+            self.result_bytes = len(pickle.dumps(record.result))
+            self.snapshot_bytes = len(pickle.dumps(fleet.slots[0].metrics))
+        finally:
+            fleet.shutdown()
+        self.fleet_results = results
 
     def _wait(self) -> None:
         """Idle while the worker runs the job (traced as ``fleet.wait``)."""
         time.sleep(self.POLL_S)
 
-    def replica(self, index: int) -> None:
-        """The worker's side of job ``index``, run in this process so the
-        traced run can attribute it: once untimed by spans for its
-        duration, once for its spans."""
-        params = self.jobs[index % self.VARIANTS]
-        recording, self.tracer.recording = self.tracer.recording, False
-        start = clock()
-        exec_job(dict(params))
-        self.replica_s.append(clock() - start)
-        self.tracer.recording = recording
-        job, _ = exec_job(dict(params))
-        self.memory_bytes = job.machine.memory.size
-        self.replica_stats = job.recorder.stats()
+    def op(self, index: int) -> OpResult:
+        from repro.fleet.worker import ExecSlices
+        variant = index % self.VARIANTS
+        job = ExecSlices(dict(self.jobs[variant]))
+        while not job.finished:
+            job.step()
+        result = job.result()
+        self.last_job = job
+        for key, value in _cpu_stats(job.machine, job.monitor).items():
+            self.totals[key] = self.totals.get(key, 0) + value
+        worker = self.fleet_results[variant]
+        if (result["digests"], result["instret"]) \
+                != (worker["digests"], worker["instret"]):
+            return OpResult(ok=False, error="job digests differ from the "
+                                            "fleet worker's")
+        machine = job.machine
+        return OpResult(sim_s=machine.cpu.cycle_count
+                        / machine.config.cpu_hz,
+                        guest_insns=result["instret"])
 
-    def result_bytes(self) -> int:
-        record = self.last_record
-        return len(pickle.dumps(record.result)) if record else 0
+    def counters(self) -> Dict:
+        return {"digests": [r["digests"] for r in self.fleet_results],
+                "instret": [r["instret"] for r in self.fleet_results]}
 
-    def snapshot_bytes(self) -> int:
-        return len(pickle.dumps(self.fleet.slots[0].metrics))
+    def stats(self) -> Dict[str, float]:
+        return dict(self.totals)
 
 
 # ----------------------------------------------------------------------
@@ -408,12 +409,10 @@ class Fig31Transfer(Workload):
     steady rate.  Deterministic: the seed is unused."""
 
     name = "fig31-transfer"
-    #: Each op builds a 16 MiB machine and churns the event heap; the
-    #: probe does not track that, and scaling by it widened the run-to-run
-    #: spread (IQR/median 0.05 raw, 0.12 scaled), so host time is raw.
-    probe = None
     RATE_BPS = 150e6
     WINDOW_S = 0.4
+    #: Set-up window: 10 simulated microseconds.
+    SETUP_WINDOW_S = 1e-5
     #: One op is ~0.4 s of host time, so a run holds ~50 ops: p75 is
     #: the highest percentile with ten samples beyond it.
     tail_pct = 75.0
@@ -424,22 +423,10 @@ class Fig31Transfer(Workload):
                 "segments_sent": 7, "interrupts": 5318}
 
     def build(self):
-        """A built stack: what ``measure_load`` assembles before its
-        simulation loop starts."""
-        from repro.guest.os import HiTactix
-        from repro.hw.machine import Machine, MachineConfig
-        from repro.perf.costmodel import DEFAULT_COST_MODEL
-        from repro.perf.stacks import InterruptDispatcher, make_stack
-        cost = DEFAULT_COST_MODEL
-        machine = Machine(MachineConfig(cpu_hz=cost.cpu_hz))
-        machine.nic.wire = lambda frame: None
-        machine.program_pic_defaults()
-        stack = make_stack("lvmm", machine, cost)
-        dispatcher = InterruptDispatcher(machine, stack)
-        guest = HiTactix(machine, stack, self.RATE_BPS, cost)
-        guest.register_handlers(dispatcher)
-        guest.start()
-        return machine
+        """A built, started stack: ``measure_load`` over a window too
+        short for the first segment."""
+        from repro.perf import load
+        return load.measure_load("lvmm", self.RATE_BPS, self.SETUP_WINDOW_S)
 
     def adopt(self, built) -> None:
         self.sample = None
@@ -466,4 +453,4 @@ class Fig31Transfer(Workload):
 
 
 WORKLOADS = {cls.name: cls for cls in
-             (DebugRoundtrip, GuestKernel, FleetJob, Fig31Transfer)}
+             (DebugRoundtrip, GuestKernel, ExecSlicesJob, Fig31Transfer)}
