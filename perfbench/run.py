@@ -348,8 +348,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
                 "attempted": log.attempted, "failed": log.failed,
                 "counters": phase.checked}
 
-    setup_s = median_setup(workload.build, workload.setup_repeats,
-                           workload.probe)
+    setup_s = median_setup(workload.build, workload.setup_repeats)
     gc.collect()
     _prepare(workload, workload.build())
     measure_s = seconds / 2.0 if trace else seconds
