@@ -11,15 +11,14 @@ running, and a fixed reference kernel (the *probe*) is timed the same
 way around each op.  The op's CPU time is scaled by
 ``NOMINAL_PROBE_S / measured_probe``, so a slow patch of host speed
 slows the probe and the op alike and cancels out.  Units stay seconds.
-Two probes exist: a pure-Python kernel for the interpreter-bound
-workloads, and a bulk copy plus sha256 kernel for jobs that are mostly
-RAM copies and state digests.
+The probe is a pure-Python kernel, the interpreter-bound mix the
+simulator runs; a workload whose time is mostly native copies and
+hashes is timed raw (see ``Workload.probe``).
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import math
 import resource
 import statistics
@@ -53,19 +52,6 @@ def probe_kernel(rounds: int = 2200) -> int:
     return acc
 
 
-#: As large as the guest RAM a state digest copies: a smaller buffer
-#: stays in the CPU caches and misses the memory and page-fault costs
-#: the digests pay.
-_RAM = bytearray(16 << 20)
-
-
-def copy_hash_kernel() -> bytes:
-    """The digest reference kernel: copy 16 MiB out of a bytearray and
-    sha256 the copy, the native work one state digest does on a 16 MiB
-    guest RAM."""
-    return hashlib.sha256(bytes(_RAM)).digest()
-
-
 @dataclass(frozen=True)
 class Probe:
     """A reference kernel and what it takes on the reference host."""
@@ -80,7 +66,6 @@ class Probe:
 
 
 PYTHON_PROBE = Probe(probe_kernel)
-COPY_HASH_PROBE = Probe(copy_hash_kernel, nominal_s=16 * NOMINAL_PROBE_S)
 
 
 def scale(raw_s: float, probe_before_s: float, probe_after_s: float,
