@@ -37,6 +37,9 @@ cpu_clock = time.thread_time
 #: beyond it.
 MIN_BEYOND = 10
 
+#: Idle time between set-up builds (see :func:`median_setup`).
+SETUP_SPACING_S = 0.1
+
 
 def probe_kernel(rounds: int = 2200) -> int:
     """The fixed reference kernel: integer arithmetic, dict traffic,
@@ -211,9 +214,15 @@ def median_setup(build: Callable[[], object], repeats: int) -> float:
     Builds are a few milliseconds of allocation-heavy work that does not
     slow down with the probe: scaled by it, one workload's median set-up
     read 2.6 ms in one process and 3.4 ms in another, while its raw CPU
-    time stayed within 2.1-2.5 ms."""
+    time stayed within 2.1-2.5 ms.  The host flips between a fast and a
+    slow state (the probe reads 0.6 or 1.0 ms) for a second or so at a
+    time, so builds taken back to back all land in one state; spaced
+    :data:`SETUP_SPACING_S` apart, they sample both and the median
+    follows the usual one."""
     times = []
-    for _ in range(repeats):
+    for index in range(repeats):
+        if index:
+            time.sleep(SETUP_SPACING_S)
         start = cpu_clock()
         build()
         times.append(cpu_clock() - start)

@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import math
+import signal
 import statistics
 import sys
 from collections import defaultdict
@@ -413,7 +414,33 @@ def _unit(metric: str) -> str:
     return "count"
 
 
+def _stop_children() -> None:
+    """Stop and wait for every process this run started: any fleet
+    worker still alive, and the resource tracker that starting a spawned
+    process launches, which would otherwise outlive this process."""
+    import multiprocessing
+    from multiprocessing import resource_tracker
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_pid", None) is not None:
+        tracker._stop()
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        return _main(argv)
+    finally:
+        _stop_children()
+
+
+def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
                         choices=sorted(WORKLOADS) + ["all"])
