@@ -25,7 +25,7 @@ from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultPlanError
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,9 @@ class FaultPlan:
         #: Multicast observation point notified as ``taps(purpose,
         #: value)`` after every RNG draw (``purpose`` is "decide",
         #: "range" or "byte").  The flight recorder journals draws as
-        #: provenance via the legacy :attr:`draw_tap` primary slot; the
-        #: tracer subscribes alongside.  Observers must only observe and
-        #: never consume RNG state themselves, or the determinism
-        #: contract above breaks.
+        #: provenance; the tracer subscribes alongside.  Observers must
+        #: only observe and never consume RNG state themselves, or the
+        #: determinism contract above breaks.
         self.draw_taps = TapPoint()
         #: Multicast observation point notified as ``taps(event)`` with
         #: the :class:`FaultEvent` for every fault that actually fires.
@@ -143,8 +142,6 @@ class FaultPlan:
         self.injected: Dict[Tuple[str, str], int] = {}
         #: Recovery actions observed per (site, action).
         self.recoveries: Dict[Tuple[str, str], int] = {}
-
-    draw_tap = tap_property("draw_taps")
 
     # -- schedule ------------------------------------------------------------
 

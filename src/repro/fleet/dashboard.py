@@ -1,13 +1,14 @@
-"""Fleet dashboard: aggregate per-worker metrics into one export.
+"""Fleet dashboard: the control plane and fleet metrics in one export.
 
 Every heartbeat carries the worker's whole
 :func:`~repro.obs.metrics.global_registry` snapshot, so the supervisor
-holds a recent metrics view of every worker without any extra RPC.
-:func:`build_dashboard` merges those with the supervisor's own
-``fleet.*`` gauges into one JSON document; :func:`format_status`
-renders the human view the ``repro-fleet status`` verb prints —
-including the degradation-ladder state, which is part of the fleet's
-operational contract.
+holds a recent metrics view of every worker without any extra RPC;
+its :class:`~repro.obs.distributed.aggregate.MetricsAggregator` sums
+them (``"fleet_metrics"``).  :func:`build_dashboard` merges that with
+the supervisor's own ``fleet.*`` gauges into one JSON document;
+:func:`format_status` renders the human view the ``repro-fleet
+status`` verb prints — including the degradation-ladder state, which
+is part of the fleet's operational contract.
 """
 
 from __future__ import annotations
@@ -17,16 +18,6 @@ import time
 from typing import Dict
 
 from repro.obs.metrics import global_registry
-
-
-def aggregate_worker_metrics(fleet) -> Dict:
-    """Sum counter/gauge values of the same name across workers."""
-    totals: Dict[str, float] = {}
-    for slot in fleet.slots:
-        for name, snap in slot.metrics.items():
-            if snap.get("type") in ("counter", "gauge"):
-                totals[name] = totals.get(name, 0) + snap["value"]
-    return dict(sorted(totals.items()))
 
 
 def build_dashboard(fleet) -> Dict:
@@ -50,7 +41,6 @@ def build_dashboard(fleet) -> Dict:
         "shed": [record.id for record in fleet.queue.shed],
         "transitions": [{"from": src, "to": dst, "reason": reason}
                         for _, src, dst, reason in fleet.transitions],
-        "aggregated": aggregate_worker_metrics(fleet),
         "fleet_metrics": fleet.obs.fleet_metrics(),
         "percentiles": fleet.obs.percentile_summary(),
         "slo": fleet.obs.slo_status(time.monotonic()),

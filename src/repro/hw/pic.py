@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.hw.bus import PortDevice
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 
 MASTER_CMD, MASTER_DATA = 0x20, 0x21
 SLAVE_CMD, SLAVE_DATA = 0xA0, 0xA1
@@ -142,12 +142,9 @@ class PicPair(PortDevice):
         self.delivered = 0
         #: Multicast observation point notified as ``taps(irq)`` on
         #: every device-side :meth:`raise_irq`.  The flight recorder
-        #: journals IRQ assertion instants as cross-check evidence via
-        #: the legacy :attr:`raise_tap` primary slot; the tracer
-        #: subscribes alongside.  Observers must only observe.
+        #: journals IRQ assertion instants as cross-check evidence; the
+        #: tracer subscribes alongside.  Observers must only observe.
         self.raise_taps = TapPoint()
-
-    raise_tap = tap_property("raise_taps")
 
     # -- IRQ line interface (device side) -----------------------------------
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from repro.errors import DeviceError
 from repro.hw.bus import PortDevice
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 from repro.sim.events import Event, EventQueue
 
 PORT_INDEX = 0x70
@@ -95,12 +95,9 @@ class Rtc(PortDevice):
         #: value)`` on every data-port read.  RTC reads are a
         #: nondeterminism boundary in general (wall time); here they
         #: derive from the cycle clock, so the flight recorder journals
-        #: them as cross-check evidence (via the legacy
-        #: :attr:`read_tap` primary slot) rather than replayable input;
+        #: them as cross-check evidence rather than replayable input;
         #: the tracer subscribes alongside.  Observers must only observe.
         self.read_taps = TapPoint()
-
-    read_tap = tap_property("read_taps")
 
     # -- time ------------------------------------------------------------
 

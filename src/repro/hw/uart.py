@@ -18,7 +18,7 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from repro.hw.bus import PortDevice
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 
 PORT_BASE_COM1 = 0x3F8
 IRQ_COM1 = 4
@@ -73,14 +73,11 @@ class SerialLink:
         #: byte)`` for every byte actually entering the link (after the
         #: fault hook, so faulted traffic is seen as delivered).  The
         #: flight recorder journals "h2t" bytes as replayable input and
-        #: folds "t2h" bytes into a rolling digest via the legacy
-        #: :attr:`tap` primary slot; the tracer subscribes alongside.
-        #: Observers must only observe.
+        #: folds "t2h" bytes into a rolling digest; the tracer
+        #: subscribes alongside.  Observers must only observe.
         self.taps = TapPoint()
         self.bytes_dropped = 0
         self.bytes_corrupted = 0
-
-    tap = tap_property("taps")
 
     def filter_byte(self, direction: str, byte: int) -> Optional[int]:
         """Run one byte through the fault hook, keeping line counters."""

@@ -3,17 +3,17 @@
 One cross-cutting layer answers "where does the time go?" for every
 other subsystem:
 
-* :mod:`repro.obs.taps` — multicast observation points.  Devices and
-  the monitor expose :class:`~repro.obs.taps.TapPoint` hooks so the
-  flight recorder and the tracer (and anything else) can observe the
-  same boundary simultaneously.
-* :mod:`repro.obs.bus` — the structured trace bus: a bounded ring of
-  typed trace events (instants and nestable spans) timestamped in
-  simulated cycles and retired instructions, never wall-clock.
+* :mod:`repro.obs.taps` — the one tap API.  Devices and the monitor
+  expose :class:`~repro.obs.taps.TapPoint` hooks so the flight
+  recorder and the tracer (and anything else) subscribe to the same
+  boundary simultaneously.
+* :mod:`repro.obs.bus` — the one event ring: a bounded ring of typed
+  trace events (instants and nestable spans) timestamped in simulated
+  cycles and retired instructions, never wall-clock.  The monitor's
+  own event ring (``monitor trace``) is a :class:`TraceBus` too.
 * :mod:`repro.obs.metrics` — the metrics registry
-  (counter/gauge/histogram) that unifies the ad-hoc ``*_stats`` dicts
-  behind one API; :mod:`repro.perf.export` keeps its entry points as
-  thin adapters.
+  (counter/gauge/histogram) and the ``collect_*`` functions that put
+  every subsystem's counters behind one API.
 * :mod:`repro.obs.profiler` — a sampling guest-PC profiler driven from
   the monitor run loop at a configurable instruction stride.
 * :mod:`repro.obs.tracer` — the instrumentation glue: subscribes

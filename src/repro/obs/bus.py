@@ -21,8 +21,11 @@ Events carry a *category* (``trap``, ``irq``, ``device``, ``rsp``,
 ``fault``, ``watchdog``, ``replay``, ``monitor``, ``profile``) used by
 the exporters to group Perfetto tracks.
 
-The bus itself has no knowledge of the machine; the
-:class:`repro.obs.tracer.Tracer` is the glue that feeds it.
+The bus itself has no knowledge of the machine.  The lightweight
+monitor owns one as its event ring (``LightweightVmm.trace``, read back
+by ``monitor trace``); the :class:`repro.obs.tracer.Tracer` feeds
+another from the tree's tap points, including the monitor ring's
+:attr:`TraceBus.taps`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
+
+from repro.obs.taps import TapPoint
 
 #: Event phases (mirroring the Chrome trace_event vocabulary).
 PH_INSTANT = "i"
@@ -118,6 +123,8 @@ class TraceBus:
         #: the ring first wraps (see :meth:`bind_metrics`).
         self._registry = None
         self._dropped_counter = None
+        #: Notified as ``taps(record)`` with every record emitted.
+        self.taps = TapPoint()
 
     def bind_metrics(self, registry) -> None:
         """Surface ring wraparound as the ``obs.bus.dropped`` counter.
@@ -146,6 +153,8 @@ class TraceBus:
             self._dropped_counter.inc()
         self._events.append(record)
         self._sequence += 1
+        if self.taps:
+            self.taps(record)
         return record
 
     def instant(self, category: str, name: str, cycle: int,
@@ -165,6 +174,14 @@ class TraceBus:
             return
         self._emit(PH_COMPLETE, category, name, cycle, instret, pc,
                    ring, dur, args)
+
+    def forward(self, record: TraceRecord) -> None:
+        """Re-emit an instant or complete record from another bus."""
+        if not self.enabled:
+            return
+        self._emit(record.phase, record.category, record.name,
+                   record.cycle, record.instret, record.pc, record.ring,
+                   record.dur, record.args)
 
     def begin(self, category: str, name: str, cycle: int,
               instret: int = 0, pc: int = 0, ring: int = 0,

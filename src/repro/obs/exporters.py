@@ -293,11 +293,10 @@ def export_stats_json(path, experiment: str, stats: Dict,
                       extra: Optional[Dict] = None) -> Path:
     """Write one collected stats dict as an experiment JSON document.
 
-    The canonical writer behind the deprecated ``repro.perf.export``
-    ``export_*`` adapters: pair it with a ``collect_*`` function from
+    Pair it with a ``collect_*`` function from
     :mod:`repro.obs.metrics` (``export_stats_json(path, "interp-fast-
     path", collect_interp(cpu))``).  ``extra`` keys merge into the
-    top-level document, preserving the legacy shapes.
+    top-level document.
     """
     path = Path(path)
     document: Dict = {"experiment": experiment, "stats": stats}

@@ -1,9 +1,6 @@
 """The metrics registry.
 
-Before this module every subsystem grew its own ad-hoc stats dict
-(``interp_stats``, ``analysis_stats``, ``fault_stats``,
-``replay_stats`` in :mod:`repro.perf.export`).  They still work — as
-thin adapters — but the counters now live behind one API:
+Every subsystem's counters live behind one API:
 
 * :class:`Counter` — a monotonically increasing count;
 * :class:`Gauge` — a value that can go up and down;
@@ -13,13 +10,14 @@ thin adapters — but the counters now live behind one API:
 
 :class:`MetricsRegistry` hands out metrics by dotted name with
 get-or-create semantics; :func:`global_registry` returns the process
-default the tracer and the adapters share.
+default the tracer and the collectors share.
 
-The ``collect_*`` functions are the bridge from the legacy world: each
+The ``collect_*`` functions are the one metrics-collection path: each
 walks one subsystem's live counters into registry gauges (dotted
-names, e.g. ``interp.decode_cache.hits``) *and* returns the exact
-legacy dict shape, so :mod:`repro.perf.export` can delegate without
-changing any caller.
+names, e.g. ``interp.decode_cache.hits``) *and* returns them as a
+nested stats dict, which :func:`repro.obs.exporters.export_stats_json`
+writes out.  Fleet-wide sums of the workers' registries come from
+:class:`repro.obs.distributed.aggregate.MetricsAggregator`.
 """
 
 from __future__ import annotations
@@ -221,7 +219,7 @@ _GLOBAL = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-default registry the tracer and adapters share."""
+    """The process-default registry the tracer and collectors share."""
     return _GLOBAL
 
 
@@ -229,7 +227,7 @@ def _publish(registry: MetricsRegistry, prefix: str, tree: Dict) -> None:
     """Flatten a nested stats dict into dotted gauges.
 
     Only numeric leaves become gauges (booleans count as 0/1); string
-    leaves are skipped — the legacy dicts keep them, the registry does
+    leaves are skipped — the stats dicts keep them, the registry does
     not pretend text is a metric.
     """
     for key, value in tree.items():
@@ -244,11 +242,7 @@ def _publish(registry: MetricsRegistry, prefix: str, tree: Dict) -> None:
 
 def collect_interp(cpu, registry: Optional[MetricsRegistry] = None
                    ) -> dict:
-    """Interpreter fast-path counters → registry + legacy dict.
-
-    The returned shape is exactly what ``repro.perf.export
-    .interp_stats`` always produced.
-    """
+    """Interpreter fast-path counters → registry + stats dict."""
     stats = {
         "instret": cpu.instret,
         "decode_cache": cpu.decode_cache_stats(),
@@ -280,7 +274,7 @@ def collect_tv(cpu, registry: Optional[MetricsRegistry] = None) -> dict:
 
 def collect_analysis(report, registry: Optional[MetricsRegistry] = None
                      ) -> dict:
-    """Static-analyzer counters → registry + legacy dict."""
+    """Static-analyzer counters → registry + stats dict."""
     stats = {
         "image": {"origin": report.origin, "end": report.end,
                   "entry_ring": report.entry_ring,
@@ -297,7 +291,7 @@ def collect_analysis(report, registry: Optional[MetricsRegistry] = None
 def collect_fault(plan, client=None, monitor=None,
                   devices: Optional[dict] = None,
                   registry: Optional[MetricsRegistry] = None) -> dict:
-    """Fault-injection and recovery counters → registry + legacy dict."""
+    """Fault-injection and recovery counters → registry + stats dict."""
     stats = {"plan": plan.stats()}
     if client is not None:
         stats["client"] = {
@@ -363,7 +357,7 @@ def collect_net(endpoint=None, result=None,
 def collect_replay(recorder=None, result=None, minimize=None,
                    store=None,
                    registry: Optional[MetricsRegistry] = None) -> dict:
-    """Record/replay counters → registry + legacy dict."""
+    """Record/replay counters → registry + stats dict."""
     stats: dict = {}
     if recorder is not None:
         stats["recorder"] = recorder.stats()

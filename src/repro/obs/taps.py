@@ -1,11 +1,8 @@
 """Multicast observation points.
 
-Before this module, every observation hook in the tree was a single
-attribute slot (``SerialLink.tap``, ``EventQueue.schedule_tap``, ...),
-so only one observer — in practice the flight recorder — could watch a
-boundary at a time.  :class:`TapPoint` keeps that assignment API
-working (the *primary* slot) while adding a subscriber list, so the
-recorder and the tracer coexist on the same hooks.
+Every observation hook in the tree is a :class:`TapPoint`: a list of
+subscribers, so the flight recorder, the replayer, the tracer and the
+profiler all watch the same boundaries through one API.
 
 Call-site contract: the owner holds a ``TapPoint`` and notifies it with
 ``if taps: taps(args...)`` — one truthiness check when nobody is
@@ -13,31 +10,23 @@ listening, which is what keeps observation zero-cost when disabled.
 Observers must only observe; mutating device or RNG state from a tap
 breaks the determinism contract the flight recorder depends on.
 
-Notification order is deterministic: the primary slot first, then
-subscribers in subscription order.  That pins the recorder (always the
-primary) ahead of any tracer, so journals are byte-identical with or
-without tracing.
+Notification order is subscription order.  Because observers only
+observe, no observer's output depends on it: a flight-recorder journal
+is byte-identical whether a tracer subscribed before or after the
+recorder.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 
 class TapPoint:
-    """One observation point with a primary slot plus subscribers.
+    """One observation point: an ordered list of subscribers."""
 
-    The primary slot exists for backward compatibility with the
-    ``device.tap = callback`` assignment style (owners expose it via a
-    property); new observers use :meth:`subscribe`/:meth:`unsubscribe`.
-    """
-
-    __slots__ = ("primary", "subscribers")
+    __slots__ = ("subscribers",)
 
     def __init__(self) -> None:
-        #: The assignment-style observer (the flight recorder's slot).
-        self.primary: Optional[Callable] = None
-        #: Additional observers, notified after the primary in order.
         self.subscribers: List[Callable] = []
 
     def subscribe(self, callback: Callable) -> Callable:
@@ -46,43 +35,25 @@ class TapPoint:
         return callback
 
     def unsubscribe(self, callback: Callable) -> None:
-        """Remove an observer (a no-op if it is not subscribed)."""
+        """Remove an observer (a no-op if it is not subscribed).
+
+        Matching is by equality, so a bound method unsubscribes with a
+        fresh ``obj.method`` reference — no stored handle needed.
+        """
         try:
             self.subscribers.remove(callback)
         except ValueError:
             pass
 
     def clear(self) -> None:
-        self.primary = None
         self.subscribers.clear()
 
     def __bool__(self) -> bool:
-        return self.primary is not None or bool(self.subscribers)
+        return bool(self.subscribers)
 
     def __len__(self) -> int:
-        return (1 if self.primary is not None else 0) \
-            + len(self.subscribers)
+        return len(self.subscribers)
 
     def __call__(self, *args) -> None:
-        if self.primary is not None:
-            self.primary(*args)
         for callback in tuple(self.subscribers):
             callback(*args)
-
-
-def tap_property(attr: str, doc: str = "") -> property:
-    """A property exposing a TapPoint's primary slot as a plain attribute.
-
-    ``attr`` names the instance attribute holding the :class:`TapPoint`.
-    Owners write ``tap = tap_property("taps")`` at class level so legacy
-    ``obj.tap = callback`` / ``obj.tap is None`` code keeps working.
-    """
-
-    def getter(self):
-        return getattr(self, attr).primary
-
-    def setter(self, callback) -> None:
-        getattr(self, attr).primary = callback
-
-    return property(getter, setter, doc=doc or
-                    f"Primary observer slot of ``{attr}`` (legacy API).")

@@ -3,19 +3,19 @@
 The :class:`Tracer` subscribes to the multicast tap points the rest of
 the tree already exposes (:mod:`repro.obs.taps`) and converts what
 they observe into :class:`repro.obs.bus.TraceBus` events and
-:class:`repro.obs.metrics` counters.  It never installs itself as a
-*primary* observer, so it coexists with the flight recorder on the
-same hooks — the regression contract is that journals are
-byte-identical with and without a tracer attached.
+:class:`repro.obs.metrics` counters.  It coexists with the flight
+recorder on the same hooks — the regression contract is that journals
+are byte-identical with and without a tracer attached, whichever of
+the two subscribes first.
 
 Sources, by category:
 
 ===========  ============================================================
 category     source
 ===========  ============================================================
-``trap``     monitor :class:`~repro.vmm.trace.TraceBuffer` events
-             (trap/exception/reflect/vmcall), rendered as complete
-             spans whose duration comes from the monitor's cost model
+``trap``     the monitor's event ring (``monitor.trace.taps``),
+             forwarded as recorded: trap/irq/reflect/vmcall are
+             complete spans costed by the monitor's cost model
 ``irq``      ``PicPair.raise_taps`` (raise) and
              ``InterruptDispatcher.deliver_taps`` (deliver)
 ``device``   ``IoBus.access_taps`` (guest port/MMIO accesses),
@@ -42,15 +42,6 @@ from repro.obs import bus as _bus
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry, global_registry
 
-#: Monitor trace-buffer kinds rendered as duration (complete) spans,
-#: mapped to the cost-model attribute charged for one such event.
-_SPAN_COSTS = {
-    "trap": "world_switch_cycles",
-    "irq": "interrupt_deliver_cycles",
-    "reflect": "pic_emulation_cycles",
-    "vmcall": "world_switch_cycles",
-}
-
 
 class Tracer:
     """Subscribe to every available tap; emit trace events + metrics."""
@@ -65,7 +56,6 @@ class Tracer:
         self.bus.bind_metrics(self.registry)
         self._subscriptions: List[Tuple[object, object]] = []
         self._machine = None
-        self._monitor = None
         self._dispatcher = None
         self._stack = None
         self.attached = False
@@ -80,7 +70,7 @@ class Tracer:
         optional so perf-layer scenarios (no monitor) trace too.  With
         a perf ``stack``, intercepted bus accesses additionally become
         ``trap`` spans charged at the stack's world-switch cost — the
-        perf layer's stand-in for the monitor trace buffer.  Enables
+        perf layer's stand-in for the monitor event ring.  Enables
         the bus.
         """
         if self.attached:
@@ -89,7 +79,6 @@ class Tracer:
             machine = machine if machine is not None else monitor.machine
             stub = stub if stub is not None else monitor.stub
         self._machine = machine
-        self._monitor = monitor
         self._stack = stack
         if machine is not None:
             self._sub(machine.serial_link.taps, self._on_link_byte)
@@ -204,7 +193,7 @@ class Tracer:
         if intercepted:
             self._count("trace.device.intercepted")
             if self._stack is not None:
-                # Perf-layer stand-in for the monitor trace buffer: an
+                # Perf-layer stand-in for the monitor event ring: an
                 # intercepted access is a trap charged one world switch.
                 self.bus.complete(
                     _bus.CAT_TRAP, f"trap-{kind}", cycle,
@@ -212,23 +201,10 @@ class Tracer:
                     args={"addr": addr})
                 self._count("trace.monitor.trap")
 
-    def _on_monitor_trace(self, event) -> None:
-        """One monitor TraceBuffer event (trap/exc/irq/reflect/...)."""
-        instret = self._machine.cpu.instret \
-            if self._machine is not None else 0
-        cost_attr = _SPAN_COSTS.get(event.kind)
-        dur = 0
-        if cost_attr is not None and self._monitor is not None:
-            dur = getattr(self._monitor.cost, cost_attr, 0)
-        if dur:
-            self.bus.complete(_bus.CAT_TRAP, event.kind, event.cycle,
-                              dur, instret, pc=event.pc,
-                              args={"detail": event.detail})
-        else:
-            self.bus.instant(_bus.CAT_TRAP, event.kind, event.cycle,
-                             instret, pc=event.pc,
-                             args={"detail": event.detail})
-        self._count(f"trace.monitor.{event.kind}")
+    def _on_monitor_trace(self, record) -> None:
+        """One monitor event-ring record (trap/exc/irq/reflect/...)."""
+        self.bus.forward(record)
+        self._count(f"trace.monitor.{record.name}")
 
     def _on_monitor_record(self, kind: str, payload: dict) -> None:
         """Nondeterminism-boundary events: run slices become spans."""

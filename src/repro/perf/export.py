@@ -1,39 +1,23 @@
-"""Export experiment data for plotting and archival.
+"""Export the Fig. 3.1 sweep for plotting and archival.
 
 The benchmarks print human tables; downstream users plotting Fig. 3.1
-want machine-readable series.  ``export_figure``/``export_ratios``
-write CSV and JSON; no plotting dependency is required or assumed.
+want machine-readable series.  ``export_figure_csv`` and
+``export_figure_json`` write CSV and JSON; no plotting dependency is
+required or assumed.
 
-``interp_stats``/``export_interp_stats`` are the single collection
-point for the interpreter fast-path counters (decoded-instruction
-cache + TLB), used by the trap-census and throughput benchmarks.
-
-The ``*_stats`` collectors now live in :mod:`repro.obs.metrics`
-(``collect_interp`` & friends), which also publishes every numeric
-leaf into the global metrics registry, and the ``export_*`` stats
-writers in :func:`repro.obs.exporters.export_stats_json`.  Everything
-below except the figure exporters is a pure warn-and-forward shim —
-no repo-internal module imports these names any more (a test enforces
-that), and out-of-repo callers get a :class:`DeprecationWarning`
-pointing at the replacement.
+Subsystem counters (interpreter, faults, record/replay, analysis) are
+collected by the :mod:`repro.obs.metrics` collectors and written by
+:func:`repro.obs.exporters.export_stats_json`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import warnings
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.perf.sweep import FigureSeries, HeadlineRatios, LEGEND
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.perf.export.{old} is deprecated; use "
-        f"repro.obs.{new} instead",
-        DeprecationWarning, stacklevel=3)
 
 
 def figure_rows(series: Dict[str, FigureSeries]) -> list:
@@ -99,149 +83,3 @@ def load_figure_csv(path) -> list:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
 
-
-def interp_stats(cpu) -> dict:
-    """One dict with every interpreter fast-path counter.
-
-    Combines the decoded-instruction cache (``Cpu.decode_cache_stats``)
-    and the TLB (``Tlb.stats``) so benchmarks and the monitor's
-    ``stats`` command report them from a single source.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.metrics.collect_interp`, which also publishes
-       the counters as ``interp.*`` gauges in the global registry.
-    """
-    from repro.obs.metrics import collect_interp
-    _deprecated("interp_stats", "metrics.collect_interp")
-    return collect_interp(cpu)
-
-
-def export_interp_stats(cpu, path, extra: Optional[dict] = None) -> Path:
-    """Write the interpreter fast-path counters as a JSON document.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.exporters.export_stats_json` fed by
-       :func:`repro.obs.metrics.collect_interp`.
-    """
-    from repro.obs.exporters import export_stats_json
-    from repro.obs.metrics import collect_interp
-    _deprecated("export_interp_stats", "exporters.export_stats_json")
-    return export_stats_json(path, "interp-fast-path",
-                             collect_interp(cpu), extra=extra)
-
-
-def fault_stats(plan, client=None, monitor=None,
-                devices: Optional[dict] = None) -> dict:
-    """One dict with every fault-injection and recovery counter.
-
-    Mirrors ``interp_stats``/``analysis_stats``: the single collection
-    point the chaos campaign and tests read.  ``plan`` is a
-    :class:`repro.faults.FaultPlan`; ``client`` an optional
-    :class:`repro.rsp.client.RspClient` (retry/backoff recoveries);
-    ``monitor`` an optional LightweightVmm (trigger + watchdog
-    counters); ``devices`` an optional ``{name: device}`` mapping whose
-    fault counters (``faults_injected``, ``frames_dropped``,
-    ``bytes_dropped``, ``bytes_corrupted``) are collected when present.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.metrics.collect_fault` (``fault.*`` gauges).
-    """
-    from repro.obs.metrics import collect_fault
-    _deprecated("fault_stats", "metrics.collect_fault")
-    return collect_fault(plan, client=client, monitor=monitor,
-                         devices=devices)
-
-
-def export_fault_stats(plan, path, client=None, monitor=None,
-                       devices: Optional[dict] = None,
-                       extra: Optional[dict] = None) -> Path:
-    """Write the fault-injection counters as a JSON document.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.exporters.export_stats_json` fed by
-       :func:`repro.obs.metrics.collect_fault`.
-    """
-    from repro.obs.exporters import export_stats_json
-    from repro.obs.metrics import collect_fault
-    _deprecated("export_fault_stats", "exporters.export_stats_json")
-    return export_stats_json(
-        path, "fault-injection",
-        collect_fault(plan, client=client, monitor=monitor,
-                      devices=devices),
-        extra=extra)
-
-
-def replay_stats(recorder=None, result=None, minimize=None,
-                 store=None) -> dict:
-    """One dict with the record/replay counters.
-
-    Mirrors ``interp_stats``/``fault_stats``: the single collection
-    point for flight-recorder overhead (``recorder`` is a
-    :class:`repro.replay.FlightRecorder`), replay verification
-    (``result`` is a :class:`repro.replay.ReplayResult`), minimization
-    effectiveness (``minimize`` is a
-    :class:`repro.replay.MinimizeResult`) and checkpoint memory
-    accounting (``store`` is a
-    :class:`repro.core.snapshot.CheckpointStore` — snapshot count,
-    held bytes, evictions).
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.metrics.collect_replay` (``replay.*`` gauges).
-    """
-    from repro.obs.metrics import collect_replay
-    _deprecated("replay_stats", "metrics.collect_replay")
-    return collect_replay(recorder=recorder, result=result,
-                          minimize=minimize, store=store)
-
-
-def export_replay_stats(path, recorder=None, result=None,
-                        minimize=None, store=None,
-                        extra: Optional[dict] = None) -> Path:
-    """Write the record/replay counters as a JSON document.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.exporters.export_stats_json` fed by
-       :func:`repro.obs.metrics.collect_replay`.
-    """
-    from repro.obs.exporters import export_stats_json
-    from repro.obs.metrics import collect_replay
-    _deprecated("export_replay_stats", "exporters.export_stats_json")
-    return export_stats_json(
-        path, "record-replay",
-        collect_replay(recorder=recorder, result=result,
-                       minimize=minimize, store=store),
-        extra=extra)
-
-
-def analysis_stats(report) -> dict:
-    """One dict with the static analyzer's coverage/finding counters.
-
-    ``report`` is a :class:`repro.analysis.Report`; the result combines
-    its CFG/interpreter coverage stats with finding counts so benchmark
-    and CI tooling collect analyzer health from a single source.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.metrics.collect_analysis`
-       (``analysis.*`` gauges).
-    """
-    from repro.obs.metrics import collect_analysis
-    _deprecated("analysis_stats", "metrics.collect_analysis")
-    return collect_analysis(report)
-
-
-def export_analysis_json(report, path,
-                         extra: Optional[dict] = None) -> Path:
-    """Write a static-analysis report (stats + findings) as JSON.
-
-    .. deprecated:: thin adapter over
-       :func:`repro.obs.exporters.export_stats_json` fed by
-       :func:`repro.obs.metrics.collect_analysis`.
-    """
-    from repro.obs.exporters import export_stats_json
-    from repro.obs.metrics import collect_analysis
-    _deprecated("export_analysis_json", "exporters.export_stats_json")
-    merged = {"report": report.to_dict()}
-    if extra:
-        merged.update(extra)
-    return export_stats_json(path, "static-analysis",
-                             collect_analysis(report), extra=merged)

@@ -60,11 +60,11 @@ class FlightRecorder:
                  scenario: str = "", seed: Optional[int] = None,
                  checkpoint_every: int = 4, spool=None,
                  spool_fsync: bool = True) -> None:
-        if not hasattr(monitor, "record_tap"):
+        if not hasattr(monitor, "record_taps"):
             raise MonitorError(
-                "flight recording needs a monitor with record_tap "
+                "flight recording needs a monitor with record_taps "
                 "(the lightweight VMM)")
-        if monitor.record_tap is not None:
+        if monitor.recorder is not None and not monitor.recorder.finished:
             raise MonitorError("a recorder is already attached")
         self.machine = machine
         self.monitor = monitor
@@ -119,25 +119,26 @@ class FlightRecorder:
 
     # -- tap plumbing --------------------------------------------------------
 
-    def _install_taps(self) -> None:
-        machine, monitor = self.machine, self.monitor
-        machine.serial_link.tap = self._on_link_byte
-        machine.pic.raise_tap = self._on_irq_raise
-        machine.rtc.read_tap = self._on_rtc_read
-        machine.queue.schedule_tap = self._on_schedule
-        monitor.record_tap = self._on_monitor_event
+    def _taps(self) -> List:
+        """(tap point, bound callback) for every boundary journaled."""
+        machine = self.machine
+        taps = [(machine.serial_link.taps, self._on_link_byte),
+                (machine.pic.raise_taps, self._on_irq_raise),
+                (machine.rtc.read_taps, self._on_rtc_read),
+                (machine.queue.schedule_taps, self._on_schedule),
+                (self.monitor.record_taps, self._on_monitor_event)]
         if self.plan is not None:
-            self.plan.draw_tap = self._on_rng_draw
+            taps.append((self.plan.draw_taps, self._on_rng_draw))
+        return taps
+
+    def _install_taps(self) -> None:
+        for tap, callback in self._taps():
+            tap.subscribe(callback)
 
     def detach(self) -> None:
         """Remove every tap (idempotent)."""
-        self.machine.serial_link.tap = None
-        self.machine.pic.raise_tap = None
-        self.machine.rtc.read_tap = None
-        self.machine.queue.schedule_tap = None
-        self.monitor.record_tap = None
-        if self.plan is not None:
-            self.plan.draw_tap = None
+        for tap, callback in self._taps():
+            tap.unsubscribe(callback)
 
     # -- frame assembly ------------------------------------------------------
 

@@ -171,31 +171,37 @@ class Replayer:
         self.monitor.boot_guest(guest["origin"])
         self.monitor.stopped = True
 
-    def _install_taps(self) -> None:
-        # The t2h stream digest is maintained in every mode (evidence
-        # and final digests depend on it); event cross-checking only in
-        # strict mode.
-        self.machine.serial_link.tap = self._on_link_byte
+    def _taps(self) -> List:
+        """(tap point, bound callback) for every boundary observed.
+
+        The t2h stream digest is maintained in every mode (evidence and
+        final digests depend on it); event cross-checking only in
+        strict mode.
+        """
+        machine = self.machine
+        taps = [(machine.serial_link.taps, self._on_link_byte),
+                (self.monitor.record_taps, self._on_monitor_event)]
         if self.strict:
-            self.machine.pic.raise_tap = self._on_irq_raise
-            self.machine.rtc.read_tap = self._on_rtc_read
-            self.machine.queue.schedule_tap = self._on_schedule
-        self.monitor.record_tap = self._on_monitor_event
+            taps += [(machine.pic.raise_taps, self._on_irq_raise),
+                     (machine.rtc.read_taps, self._on_rtc_read),
+                     (machine.queue.schedule_taps, self._on_schedule)]
+        return taps
+
+    def _install_taps(self) -> None:
+        for tap, callback in self._taps():
+            tap.subscribe(callback)
 
     def detach(self) -> None:
         """Remove every replay tap from the rebuilt machine (idempotent).
 
         After a relaxed replay the machine/monitor pair is a faithful
-        reconstruction of the recorded state; detaching frees the
-        primary tap slots so a new :class:`FlightRecorder` (or any
-        other observer) can take over — the fleet's journal-based
-        worker recovery resumes sessions this way.
+        reconstruction of the recorded state; detaching leaves it
+        unobserved so a new :class:`FlightRecorder` (or any other
+        observer) can take over — the fleet's journal-based worker
+        recovery resumes sessions this way.
         """
-        self.machine.serial_link.tap = None
-        self.machine.pic.raise_tap = None
-        self.machine.rtc.read_tap = None
-        self.machine.queue.schedule_tap = None
-        self.monitor.record_tap = None
+        for tap, callback in self._taps():
+            tap.unsubscribe(callback)
 
     # -- expectation matching ------------------------------------------------
 

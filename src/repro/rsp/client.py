@@ -68,7 +68,8 @@ class RspClient:
         self._decoder = PacketDecoder()
         self.acks_seen = 0
         self.naks_seen = 0
-        #: Recovery-action counters (exported via repro.perf.export).
+        #: Recovery-action counters (collected by
+        #: repro.obs.metrics.collect_fault).
         self.recoveries: Dict[str, int] = {}
         #: Optional observer called with each recovery action name.
         self.on_recovery: Optional[Callable[[str], None]] = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 
 
 @dataclass(order=True)
@@ -71,13 +71,10 @@ class EventQueue:
         self.now: int = 0
         #: Multicast observation point notified as ``taps(time, name)``
         #: for every scheduled event.  The flight recorder journals
-        #: device-completion scheduling as cross-check evidence (via the
-        #: legacy :attr:`schedule_tap` primary slot); the tracer
-        #: subscribes alongside it.  Observers must only observe (never
-        #: schedule or mutate device state).
+        #: device-completion scheduling as cross-check evidence; the
+        #: tracer subscribes alongside it.  Observers must only observe
+        #: (never schedule or mutate device state).
         self.schedule_taps = TapPoint()
-
-    schedule_tap = tap_property("schedule_taps")
 
     def __len__(self) -> int:
         return sum(1 for entry in self._heap if not entry.event.cancelled)

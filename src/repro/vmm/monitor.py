@@ -57,8 +57,9 @@ from repro.hw.uart import (
     REG_DATA,
     REG_LSR,
 )
+from repro.obs.bus import CAT_TRAP, TraceBus
 from repro.obs.profiler import GuestProfiler
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 from repro.obs.tracer import Tracer
 from repro.rsp.stub import DebugStub
 from repro.rsp.target import CpuTargetAdapter, SIGILL, SIGSEGV, SIGTRAP
@@ -68,16 +69,6 @@ from repro.vmm.intercept import LvmmIntercept
 from repro.vmm.protect import ShadowGdt, compress_selector
 from repro.vmm.watchdog import DEGRADE_FULL
 from repro.vmm.shadow import ShadowState
-from repro.vmm.trace import (
-    KIND_DEATH,
-    KIND_DEBUG,
-    KIND_EXCEPTION,
-    KIND_INTERRUPT,
-    KIND_REFLECT,
-    KIND_TRAP,
-    KIND_VMCALL,
-    TraceBuffer,
-)
 
 #: Offsets of monitor structures inside the monitor region.
 OFF_SHADOW_GDT = 0x0000
@@ -92,6 +83,16 @@ VMCALL_PANIC = 2
 #: stub can enumerate and inspect threads.
 VMCALL_SET_TASK_TABLE = 3
 MONITOR_MAGIC = 0x4C564D4D  # "LVMM"
+
+#: Event-ring kinds recorded as complete spans, mapped to the
+#: cost-model attribute charged for one such event.  Every other kind
+#: (exc, debug, death) is an instant.
+_SPAN_COSTS = {
+    "trap": "world_switch_cycles",
+    "irq": "interrupt_deliver_cycles",
+    "reflect": "pic_emulation_cycles",
+    "vmcall": "world_switch_cycles",
+}
 
 
 @dataclass
@@ -257,7 +258,13 @@ class LightweightVmm:
             machine.memory, self.monitor_base + OFF_SHADOW_GDT,
             self.monitor_base)
         self.console = bytearray()
-        self.trace = TraceBuffer()
+        #: Event ring: every trapped instruction, exception, fielded and
+        #: reflected interrupt, VMCALL, debug stop and guest death, as a
+        #: ``trap``-category record whose ``args["detail"]`` describes
+        #: it.  ``monitor trace`` reads it back; the structured tracer
+        #: and the profiler subscribe to its ``taps``.
+        self.trace = TraceBus(capacity=1024)
+        self.trace.enabled = True
         #: Guest task-table header (set via VMCALL 3); None = no
         #: thread-aware debugging.
         self.task_table_addr: Optional[int] = None
@@ -274,9 +281,9 @@ class LightweightVmm:
         #: Multicast observation point notified as ``taps(kind,
         #: payload)`` at the nondeterminism boundary (run begin/end,
         #: debugger service, fault triggers, stops, guest death).  The
-        #: :class:`repro.replay.FlightRecorder` installs itself in the
-        #: legacy :attr:`record_tap` primary slot; the structured tracer
-        #: subscribes alongside.  Observers must only observe.
+        #: :class:`repro.replay.FlightRecorder` (or a replayer) and the
+        #: structured tracer subscribe here.  Observers must only
+        #: observe.
         self.record_taps = TapPoint()
         #: Attached FlightRecorder / replayer status (``monitor record``
         #: and ``monitor replay`` qRcmds report these).
@@ -295,8 +302,6 @@ class LightweightVmm:
         self.adapter = LvmmTargetAdapter(self)
         self.stub = DebugStub(self.adapter, send_bytes=self._uart_send)
 
-    record_tap = tap_property("record_taps")
-
     # ------------------------------------------------------------------
     # Observability (profiler + structured trace)
     # ------------------------------------------------------------------
@@ -305,13 +310,13 @@ class LightweightVmm:
         """Sample guest PCs from the run loop at the profiler's stride.
 
         Also feeds the profiler's trap-reason channel from the monitor
-        trace buffer so samples carry "what last happened" context.
+        event ring so samples carry "what last happened" context.
         """
         if self.profiler is not None:
             raise MonitorError("a profiler is already attached")
         self.profiler = profiler
         self._profiler_reason_cb = self.trace.taps.subscribe(
-            lambda event: profiler.note_reason(event.kind))
+            lambda record: profiler.note_reason(record.name))
         profiler.start(self.machine.cpu.instret)
         return profiler
 
@@ -451,7 +456,7 @@ class LightweightVmm:
         self.stats.traps_emulated += 1
         by = self.stats.traps_by_mnemonic
         by[insn.mnemonic] = by.get(insn.mnemonic, 0) + 1
-        self.trace.record(cpu.cycle_count, KIND_TRAP, insn.text, cpu.pc)
+        self._trace_event("trap", insn.text)
         if not self._skip_pc_advance:
             cpu.pc = (cpu.pc + insn.length) & 0xFFFFFFFF
         if self.stepping:
@@ -678,8 +683,7 @@ class LightweightVmm:
         """
         self.stats.exceptions_reflected += 1
         self._charge_trap()
-        self.trace.record(cpu.cycle_count, KIND_EXCEPTION,
-                          f"vector={vector} error={error:#x}", cpu.pc)
+        self._trace_event("exc", f"vector={vector} error={error:#x}")
         if self.shadow.idtr.limit == 0:
             self._guest_died(f"unhandled exception {vector} before LIDT")
             return True
@@ -698,8 +702,7 @@ class LightweightVmm:
         self.guest_dead_reason = reason
         if self.record_taps:
             self.record_taps("death", {"reason": reason})
-        self.trace.record(self.machine.cpu.cycle_count, KIND_DEATH,
-                          reason, self.machine.cpu.pc)
+        self._trace_event("death", reason)
         self.machine.cpu.halted = True
         self.debug_stop(SIGSEGV)
 
@@ -712,8 +715,7 @@ class LightweightVmm:
         self.machine.budget.charge(self.cost.world_switch_cycles,
                                    CAT_WORLD_SWITCH)
         line = self._line_for_vector(vector)
-        self.trace.record(cpu.cycle_count, KIND_INTERRUPT,
-                          f"irq={line} vector={vector}", cpu.pc)
+        self._trace_event("irq", f"irq={line} vector={vector}")
         # The monitor completes the real-PIC handshake itself.
         self._real_eoi(line)
         if line == IRQ_COM1:
@@ -765,8 +767,7 @@ class LightweightVmm:
         self.shadow.halted = False
         cpu.halted = False
         self.stats.interrupts_reflected += 1
-        self.trace.record(cpu.cycle_count, KIND_REFLECT,
-                          f"vector={vector}", cpu.pc)
+        self._trace_event("reflect", f"vector={vector}")
         self.machine.budget.charge(
             self.cost.pic_emulation_cycles
             + self.cost.interrupt_reflect_cycles, CAT_INTERRUPT)
@@ -794,8 +795,7 @@ class LightweightVmm:
         self.stats.vmcalls += 1
         self._charge_trap()
         function = cpu.regs[0]
-        self.trace.record(cpu.cycle_count, KIND_VMCALL,
-                          f"fn={function} arg={cpu.regs[1]:#x}", cpu.pc)
+        self._trace_event("vmcall", f"fn={function} arg={cpu.regs[1]:#x}")
         if function == VMCALL_PUTC:
             self.console.append(cpu.regs[1] & 0xFF)
             return True
@@ -842,8 +842,7 @@ class LightweightVmm:
         self.stepping = False
         self.machine.cpu.flags &= ~FLAG_TF
         self.stats.debug_stops += 1
-        self.trace.record(self.machine.cpu.cycle_count, KIND_DEBUG,
-                          f"stop signal={signal}", self.machine.cpu.pc)
+        self._trace_event("debug", f"stop signal={signal}")
         if self.record_taps:
             self.record_taps("stop", {"signal": signal,
                                       "pc": self.machine.cpu.pc})
@@ -941,7 +940,7 @@ class LightweightVmm:
                                                "dump", "status"):
                 return self._trace_command(parts[1:])
             count = int(parts[1]) if len(parts) > 1 else 24
-            return self.trace.format_tail(count)
+            return self._format_trace(count)
         if command == "shadow":
             shadow = self.shadow
             return (f"vif={shadow.vif} halted={shadow.halted}\n"
@@ -1107,6 +1106,29 @@ class LightweightVmm:
         for message in stats["failures"][:8]:
             lines.append(f"  {message}")
         return "\n".join(lines)
+
+    def _trace_event(self, kind: str, detail: str) -> None:
+        """Append one monitor event to the :attr:`trace` ring."""
+        cpu = self.machine.cpu
+        cost_attr = _SPAN_COSTS.get(kind)
+        dur = getattr(self.cost, cost_attr, 0) if cost_attr else 0
+        args = {"detail": detail}
+        if dur:
+            self.trace.complete(CAT_TRAP, kind, cpu.cycle_count, dur,
+                                cpu.instret, pc=cpu.pc, args=args)
+        else:
+            self.trace.instant(CAT_TRAP, kind, cpu.cycle_count,
+                               cpu.instret, pc=cpu.pc, args=args)
+
+    def _format_trace(self, count: int) -> str:
+        """``monitor trace [n]``: the ring's newest ``count`` events."""
+        records = self.trace.tail(count)
+        if not records:
+            return "(trace empty)"
+        return "\n".join(
+            f"[{record.seq:6d}] cyc={record.cycle:<12d} "
+            f"pc={record.pc:#010x} {record.name:<8s} "
+            f"{record.args['detail']}" for record in records)
 
     def _trace_command(self, parts) -> str:
         """``monitor trace start|stop|dump|status``: live structured

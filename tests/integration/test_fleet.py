@@ -15,8 +15,8 @@ import pytest
 
 from repro.fleet.control import ControlServer, control_request, \
     job_from_spec
-from repro.fleet.dashboard import aggregate_worker_metrics, \
-    build_dashboard, export_dashboard, format_status
+from repro.fleet.dashboard import build_dashboard, export_dashboard, \
+    format_status
 from repro.fleet.jobs import (Job, RetrySchedule, STATUS_DEAD_LETTER,
                               STATUS_DONE, STATUS_PENDING,
                               STATUS_RUNNING, STATUS_SHED)
@@ -111,8 +111,8 @@ class TestFleetJobs:
         # Wait for a heartbeat that post-dates the completed job, so
         # the supervisor's metrics view includes it.
         assert poll_until(
-            fleet, lambda: aggregate_worker_metrics(fleet)
-            .get("worker.jobs.completed", 0) >= 1)
+            fleet, lambda: (fleet.obs.aggregator.value(
+                "worker.jobs.completed") or 0) >= 1)
 
         status = fleet.status()
         assert status["level"] == FLEET_FULL
@@ -127,8 +127,9 @@ class TestFleetJobs:
         on_disk = json.loads((tmp_path / "dash.json").read_text())
         assert on_disk["level"] == dashboard["level"] == FLEET_FULL
         # Per-worker metrics aggregate across the heartbeat snapshots.
-        assert dashboard["aggregated"].get("worker.jobs.completed",
-                                           0) >= 1
+        assert fleet.obs.aggregator.value("worker.jobs.completed") >= 1
+        assert on_disk["fleet_metrics"]["worker.jobs.completed"][
+            "value"] >= 1
         assert "fleet.ladder.level" in dashboard["supervisor_metrics"]
 
 

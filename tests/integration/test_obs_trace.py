@@ -123,18 +123,22 @@ class TestMonitorTraceCommand:
 
 class TestRecorderCoexistence:
     """Satellite regression: attaching a tracer must not perturb the
-    flight recorder — journals stay byte-identical."""
+    flight recorder — journals stay byte-identical whichever of the two
+    subscribes to the shared tap points first."""
 
-    def _journal_bytes(self, with_tracer: bool) -> bytes:
+    def _journal_bytes(self, tracer_first=None) -> bytes:
         sess = DebugSession(monitor="lvmm")
         program = assemble(
             f".org {firmware.GUEST_KERNEL_BASE}\n{GUEST_LOOP}\n")
+        tracer = None
+        if tracer_first is not None:
+            tracer = Tracer(TraceBus(), MetricsRegistry())
+        if tracer_first:
+            tracer.attach(monitor=sess.monitor)
         recorder = FlightRecorder(sess.machine, sess.monitor,
                                   program=program,
                                   scenario="obs-coexist", seed=SEED)
-        tracer = None
-        if with_tracer:
-            tracer = Tracer(TraceBus(), MetricsRegistry())
+        if tracer_first is False:
             tracer.attach(monitor=sess.monitor, recorder=recorder)
         sess.load_and_boot(program)
         sess.attach()
@@ -145,8 +149,10 @@ class TestRecorderCoexistence:
             tracer.detach()
         return journal.to_bytes()
 
-    def test_journal_identical_with_tracing_enabled(self):
-        assert self._journal_bytes(False) == self._journal_bytes(True)
+    @pytest.mark.parametrize("tracer_first", [False, True],
+                             ids=["recorder-first", "tracer-first"])
+    def test_journal_identical_with_tracing_enabled(self, tracer_first):
+        assert self._journal_bytes() == self._journal_bytes(tracer_first)
 
 
 class TestCliAndGolden:

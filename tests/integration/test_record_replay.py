@@ -219,8 +219,8 @@ class TestRecorderPlumbing:
         sess, recorder = self._recorded_session()
         sess.run_guest(500)
         recorder.finish()
-        assert sess.monitor.record_tap is None
-        assert sess.machine.serial_link.tap is None
+        assert not sess.monitor.record_taps
+        assert not sess.machine.serial_link.taps
         with pytest.raises(MonitorError):
             recorder.finish()
 

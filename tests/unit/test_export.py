@@ -1,4 +1,5 @@
-"""Unit tests for the figure/ratio data exporter."""
+"""Unit tests for the figure/ratio data exporter and the
+record/replay stats export."""
 
 import json
 
@@ -78,8 +79,8 @@ class TestJsonExport:
 class TestReplayStatsExport:
     def test_collects_each_source(self, tmp_path):
         from repro.core.snapshot import CheckpointStore
+        from repro.obs.exporters import export_stats_json
         from repro.obs.metrics import collect_replay
-        from repro.perf.export import export_replay_stats
 
         class _FakeSnapshot:
             size_bytes = 123
@@ -96,22 +97,10 @@ class TestReplayStatsExport:
         assert stats["checkpoint_store"]["held_bytes"] == 123
         assert "replay" not in stats
 
-        with pytest.warns(DeprecationWarning, match="export_stats_json"):
-            path = export_replay_stats(tmp_path / "replay.json",
-                                       recorder=_FakeRecorder(),
-                                       store=store, extra={"seed": 7})
+        path = export_stats_json(tmp_path / "replay.json",
+                                 "record-replay", stats,
+                                 extra={"seed": 7})
         document = json.loads(path.read_text())
         assert document["experiment"] == "record-replay"
         assert document["seed"] == 7
         assert document["stats"]["checkpoint_store"]["snapshots"] == 1
-
-    def test_legacy_adapter_warns_and_delegates(self):
-        from repro.perf.export import replay_stats
-
-        class _FakeRecorder:
-            def stats(self):
-                return {"frames": 2}
-
-        with pytest.warns(DeprecationWarning, match="collect_replay"):
-            stats = replay_stats(recorder=_FakeRecorder())
-        assert stats["recorder"]["frames"] == 2

@@ -1,66 +1,23 @@
-"""Unit tests for qRcmd / monitor commands and the trace buffer."""
+"""Unit tests for qRcmd / monitor commands and the monitor event ring."""
 
 import pytest
 
 from repro.core import DebugSession
 from repro.guest import KernelConfig, build_kernel
-from repro.vmm.trace import (
-    KIND_REFLECT,
-    KIND_TRAP,
-    TraceBuffer,
-    TraceEvent,
-)
 
-
-class TestTraceBuffer:
-    def test_records_in_sequence(self):
-        trace = TraceBuffer()
-        trace.record(10, KIND_TRAP, "CLI", pc=0x100)
-        trace.record(20, KIND_REFLECT, "vector=32", pc=0x200)
-        events = trace.tail()
-        assert [e.sequence for e in events] == [0, 1]
-        assert events[0].kind == KIND_TRAP
-        assert events[1].cycle == 20
-
-    def test_bounded_capacity(self):
-        trace = TraceBuffer(capacity=8)
-        for index in range(20):
-            trace.record(index, KIND_TRAP, str(index))
-        assert len(trace) == 8
-        assert trace.total_recorded == 20
-        assert trace.tail(100)[0].sequence == 12  # oldest kept
-
-    def test_tail_returns_most_recent(self):
-        trace = TraceBuffer()
-        for index in range(10):
-            trace.record(index, KIND_TRAP, str(index))
-        tail = trace.tail(3)
-        assert [e.cycle for e in tail] == [7, 8, 9]
-
-    def test_by_kind_filters(self):
-        trace = TraceBuffer()
-        trace.record(1, KIND_TRAP, "a")
-        trace.record(2, KIND_REFLECT, "b")
-        trace.record(3, KIND_TRAP, "c")
-        assert len(trace.by_kind(KIND_TRAP)) == 2
-
-    def test_disable_stops_recording(self):
-        trace = TraceBuffer()
-        trace.enabled = False
-        trace.record(1, KIND_TRAP, "x")
-        assert len(trace) == 0
-
-    def test_format(self):
-        event = TraceEvent(5, 1234, KIND_TRAP, "CLI", 0x4000)
-        text = event.format()
-        assert "CLI" in text and "0x00004000" in text
-        assert TraceBuffer().format_tail() == "(trace empty)"
-
-    def test_clear(self):
-        trace = TraceBuffer()
-        trace.record(1, KIND_TRAP, "x")
-        trace.clear()
-        assert len(trace) == 0
+#: ``monitor trace 8`` for the ``session`` fixture stopped at
+#: ``timer_isr``: boot traps, the first timer IRQ and its reflection,
+#: then the breakpoint stop.
+TRACE_8_AT_TIMER_ISR = """\
+[    14] cyc=162          pc=0x002002c2 trap     OUTB R0, R2
+[    15] cyc=164          pc=0x002002d0 trap     OUTB R0, R2
+[    16] cyc=165          pc=0x002002d8 trap     OUTB R0, R2
+[    17] cyc=165          pc=0x002002da trap     STI
+[    18] cyc=171          pc=0x002002f7 trap     HLT
+[    19] cyc=12600355     pc=0x002002f8 irq      irq=0 vector=32
+[    20] cyc=12600355     pc=0x002002f8 reflect  vector=32
+[    21] cyc=12600395     pc=0x00200311 debug    stop signal=5
+"""
 
 
 @pytest.fixture
@@ -70,6 +27,34 @@ def session():
     sess.load_and_boot(kernel)
     sess.attach()
     return sess, kernel
+
+
+def _record_two_events(monitor):
+    """Append a trap then a reflection to ``monitor``'s event ring."""
+    cpu = monitor.machine.cpu
+    cpu.cycle_count, cpu.pc = 10, 0x100
+    monitor._trace_event("trap", "CLI")
+    cpu.cycle_count, cpu.pc = 20, 0x200
+    monitor._trace_event("reflect", "vector=32")
+
+
+class TestTraceBuffer:
+    def test_records_in_sequence(self):
+        monitor = DebugSession(monitor="lvmm").monitor
+        _record_two_events(monitor)
+        events = monitor.trace.tail()
+        assert [e.seq for e in events] == [0, 1]
+        assert events[0].name == "trap"
+        assert events[1].cycle == 20
+        assert [e.pc for e in events] == [0x100, 0x200]
+
+    def test_format(self):
+        monitor = DebugSession(monitor="lvmm").monitor
+        assert monitor.monitor_command("trace") == "(trace empty)"
+        _record_two_events(monitor)
+        assert monitor.monitor_command("trace") == (
+            "[     0] cyc=10           pc=0x00000100 trap     CLI\n"
+            "[     1] cyc=20           pc=0x00000200 reflect  vector=32")
 
 
 class TestMonitorCommands:
@@ -105,6 +90,15 @@ class TestMonitorCommands:
         sess, _ = session
         assert "monitor commands" in sess.client.monitor_command("help")
         assert "unknown" in sess.client.monitor_command("frobnicate")
+
+    def test_trace_reply_text_is_pinned(self, session):
+        sess, kernel = session
+        sess.client.set_breakpoint(kernel.symbol("timer_isr"))
+        sess.client.cont()
+        assert sess.client.monitor_command("trace 8") \
+            == TRACE_8_AT_TIMER_ISR
+        assert DebugSession(monitor="lvmm").monitor.monitor_command(
+            "trace") == "(trace empty)"
 
     def test_trace_count_argument(self, session):
         sess, kernel = session

@@ -13,7 +13,7 @@ from repro.obs.bus import (
     PH_INSTANT,
     TraceBus,
 )
-from repro.obs.taps import TapPoint, tap_property
+from repro.obs.taps import TapPoint
 
 
 class TestTapPoint:
@@ -23,16 +23,25 @@ class TestTapPoint:
         assert len(tap) == 0
         tap(1, 2)  # no observers: a no-op, not an error
 
-    def test_primary_then_subscribers_in_order(self):
+    def test_subscribers_notified_in_subscription_order(self):
+        class Observer:
+            def __init__(self, name, calls):
+                self.name, self.calls = name, calls
+
+            def on_event(self, *args):
+                self.calls.append((self.name, args))
+
         tap = TapPoint()
         calls = []
-        tap.primary = lambda *a: calls.append(("primary", a))
-        tap.subscribe(lambda *a: calls.append(("sub1", a)))
-        tap.subscribe(lambda *a: calls.append(("sub2", a)))
-        assert tap and len(tap) == 3
+        first, second = Observer("a", calls), Observer("b", calls)
+        tap.subscribe(first.on_event)
+        tap.subscribe(second.on_event)
+        assert tap and len(tap) == 2
         tap(7)
-        assert calls == [("primary", (7,)), ("sub1", (7,)),
-                         ("sub2", (7,))]
+        # A fresh bound-method reference unsubscribes: no handle kept.
+        tap.unsubscribe(first.on_event)
+        tap(8)
+        assert calls == [("a", (7,)), ("b", (7,)), ("b", (8,))]
 
     def test_subscribe_returns_callback_for_unsubscribe(self):
         tap = TapPoint()
@@ -46,27 +55,10 @@ class TestTapPoint:
 
     def test_clear_drops_everything(self):
         tap = TapPoint()
-        tap.primary = lambda: None
+        tap.subscribe(lambda: None)
         tap.subscribe(lambda: None)
         tap.clear()
         assert not tap
-
-    def test_tap_property_exposes_primary_slot(self):
-        class Host:
-            def __init__(self):
-                self.taps = TapPoint()
-            tap = tap_property("taps")
-
-        host = Host()
-        assert host.tap is None
-        sink = []
-        callback = sink.append
-        host.tap = callback
-        assert host.tap is callback
-        host.taps(3)
-        assert sink == [3]
-        host.tap = None
-        assert host.tap is None and not host.taps
 
 
 class TestTraceBusRing:
