@@ -258,8 +258,8 @@ class TraceBus:
         return list(self._events)
 
     def tail(self, count: int = 32) -> List[TraceRecord]:
-        events = list(self._events)
-        return events[-count:]
+        """The newest ``count`` events; none when ``count <= 0``."""
+        return list(self._events)[-count:] if count > 0 else []
 
     def by_category(self, category: str) -> List[TraceRecord]:
         return [e for e in self._events if e.category == category]

@@ -12,7 +12,6 @@ from repro.vmm.monitor import (
     VMCALL_MAGIC,
     VMCALL_PANIC,
     VMCALL_PUTC,
-    verify_image,
 )
 from repro.vmm.protect import (
     ShadowGdt,
@@ -27,7 +26,6 @@ __all__ = [
     "Monitor",
     "GuestImageRejected",
     "GuestImageWarning",
-    "verify_image",
     "LvmmTargetAdapter",
     "LvmmIntercept",
     "LVMM_INTERCEPTED_PORTS",

@@ -60,11 +60,11 @@ from repro.hw.uart import (
 from repro.obs.bus import CAT_TRAP, TraceBus
 from repro.obs.profiler import GuestProfiler
 from repro.obs.taps import TapPoint
-from repro.obs.tracer import Tracer
 from repro.rsp.stub import DebugStub
 from repro.rsp.target import CpuTargetAdapter, SIGILL, SIGSEGV, SIGTRAP
 from repro.sim.budget import CAT_EMULATION, CAT_INTERRUPT, CAT_WORLD_SWITCH
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.vmm.commands import dispatch
 from repro.vmm.intercept import LvmmIntercept
 from repro.vmm.protect import ShadowGdt, compress_selector
 from repro.vmm.watchdog import DEGRADE_FULL
@@ -121,22 +121,6 @@ class GuestImageRejected(MonitorError):
             f"guest image rejected: {len(errors)} error finding(s)\n"
             f"{lines}")
         self.report = report
-
-
-def verify_image(image: bytes, origin: int, *,
-                 monitor_base: Optional[int] = None,
-                 entry_ring: int = 0) -> "Report":
-    """Statically analyze a guest image before it is allowed to run.
-
-    Thin wrapper over :func:`repro.analysis.analyze_image` so the
-    monitor (and anything else that loads guest code) has one obvious
-    load-time gate.  Returns the full report; callers decide whether
-    error findings warn or reject.
-    """
-    from repro.analysis import analyze_image
-
-    return analyze_image(image, origin, monitor_base=monitor_base,
-                         entry_ring=entry_ring)
 
 
 class GuestImageWarning(UserWarning):
@@ -397,16 +381,18 @@ class LightweightVmm:
                    strict: Optional[bool] = None) -> "Report":
         """Verify, load and boot an assembled guest image in one step.
 
-        The image is statically analyzed (:func:`verify_image`) before
-        it touches guest memory.  Error findings raise
+        :func:`repro.analysis.analyze_image` checks the image before it
+        touches guest memory.  Error findings raise
         :class:`GuestImageRejected` when the monitor is strict (ctor
         ``strict=True`` or the ``strict`` override here); otherwise
         they are reported as :class:`GuestImageWarning` warnings and
         the guest boots anyway — the monitor survives whatever the
         image does, that is the whole point of the paper.
         """
-        report = verify_image(program.image, program.origin,
-                              monitor_base=self.monitor_base)
+        from repro.analysis import analyze_image
+
+        report = analyze_image(program.image, program.origin,
+                               monitor_base=self.monitor_base)
         self.last_verify_report = report
         effective_strict = self.strict if strict is None else strict
         if report.errors:
@@ -848,6 +834,23 @@ class LightweightVmm:
                                       "pc": self.machine.cpu.pc})
         self.stub.report_stop(signal)
 
+    def monitor_command(self, text: str) -> str:
+        """Service a host-side ``monitor <cmd>`` (see repro.vmm.commands)."""
+        return dispatch(self, text)
+
+    def _trace_event(self, kind: str, detail: str) -> None:
+        """Append one monitor event to the :attr:`trace` ring."""
+        cpu = self.machine.cpu
+        cost_attr = _SPAN_COSTS.get(kind)
+        dur = getattr(self.cost, cost_attr, 0) if cost_attr else 0
+        args = {"detail": detail}
+        if dur:
+            self.trace.complete(CAT_TRAP, kind, cpu.cycle_count, dur,
+                                cpu.instret, pc=cpu.pc, args=args)
+        else:
+            self.trace.instant(CAT_TRAP, kind, cpu.cycle_count,
+                               cpu.instret, pc=cpu.pc, args=args)
+
     # ------------------------------------------------------------------
     # Fault triggers (repro.faults campaign hooks)
     # ------------------------------------------------------------------
@@ -895,319 +898,6 @@ class LightweightVmm:
         blob = memory.read(self.monitor_base,
                            memory.size - self.monitor_base)
         return hashlib.sha256(blob).hexdigest()
-
-    # ------------------------------------------------------------------
-    # Monitor commands (GDB "monitor ..." / qRcmd)
-    # ------------------------------------------------------------------
-
-    def monitor_command(self, text: str) -> str:
-        """Service a host-side ``monitor <cmd>`` request."""
-        parts = text.split()
-        command = parts[0] if parts else "help"
-        if command == "stats":
-            stats = self.stats
-            traps = ", ".join(f"{k}={v}" for k, v in
-                              sorted(stats.traps_by_mnemonic.items()))
-            cpu = self.machine.cpu
-            decode = cpu.decode_cache_stats()
-            blocks = cpu.block_cache_stats()
-            tlb = cpu.mmu.tlb.stats()
-            return (f"traps emulated: {stats.traps_emulated} "
-                    f"({traps or 'none'})\n"
-                    f"interrupts fielded/reflected: "
-                    f"{stats.interrupts_fielded}/"
-                    f"{stats.interrupts_reflected}\n"
-                    f"exceptions reflected: {stats.exceptions_reflected}\n"
-                    f"vmcalls: {stats.vmcalls}, debug stops: "
-                    f"{stats.debug_stops}\n"
-                    f"decode cache: hits={decode['hits']} "
-                    f"misses={decode['misses']} "
-                    f"hit-rate={decode['hit_rate']:.3f} "
-                    f"invalidations={decode['invalidations']}\n"
-                    f"block cache: blocks={blocks['entries']} "
-                    f"hits={blocks['hits']} "
-                    f"guard-fails={blocks['guard_failures']} "
-                    f"hit-rate={blocks['hit_rate']:.3f}\n"
-                    f"tlb: hits={tlb['hits']} misses={tlb['misses']} "
-                    f"hit-rate={tlb['hit_rate']:.3f}\n"
-                    f"guest dead: {self.guest_dead} "
-                    f"{self.guest_dead_reason}")
-        if command == "console":
-            return self.console.decode("latin-1", errors="replace") \
-                or "(console empty)"
-        if command == "trace":
-            if len(parts) > 1 and parts[1] in ("start", "stop",
-                                               "dump", "status"):
-                return self._trace_command(parts[1:])
-            count = int(parts[1]) if len(parts) > 1 else 24
-            return self._format_trace(count)
-        if command == "shadow":
-            shadow = self.shadow
-            return (f"vif={shadow.vif} halted={shadow.halted}\n"
-                    f"idtr={shadow.idtr.base:#x}/{shadow.idtr.limit:#x} "
-                    f"gdtr={shadow.gdtr.base:#x}/{shadow.gdtr.limit:#x}\n"
-                    f"cr0={shadow.cr0:#x} cr3={shadow.cr3:#x}\n"
-                    f"virtual pic: {shadow.virtual_pic.state()}")
-        if command == "hang":
-            return self._hang_report()
-        if command == "record":
-            if self.recorder is None:
-                return "recording: off (no flight recorder attached)"
-            if len(parts) > 1 and parts[1] == "checkpoint":
-                digest = self.recorder.checkpoint()
-                return f"checkpoint taken: digest {digest[:16]}..."
-            stats = self.recorder.stats()
-            return (f"recording: on\n"
-                    f"frames: {stats['frames']} "
-                    f"(~{stats['journal_bytes']} journal bytes)\n"
-                    f"inputs: {stats['input_frames']}, ops: "
-                    f"{stats['op_frames']}, cross-checks: "
-                    f"{stats['xc_frames']}\n"
-                    f"checkpoints: {stats['checkpoints']} "
-                    f"(every {stats['checkpoint_every']} run slices)\n"
-                    f"uart bytes recorded: h2t={stats['uart_rx_bytes']} "
-                    f"t2h={stats['t2h_bytes']}")
-        if command == "replay":
-            status = self.replay_status
-            if status is None:
-                return "replay: off (not driven by a replayer)"
-            lines = [f"replay: frame {status['frame']}/"
-                     f"{status['total']} ({status['mode']})"]
-            divergence = status.get("divergence")
-            if divergence:
-                lines.append(f"DIVERGED at frame "
-                             f"{divergence['frame_index']}: "
-                             f"{divergence['message']}")
-            else:
-                lines.append("no divergence so far")
-            return "\n".join(lines)
-        if command == "watchdog":
-            if self.watchdog is None:
-                return (f"level: {self.degradation_level}\n"
-                        "(no watchdog attached)")
-            return self.watchdog.report()
-        if command == "fleet":
-            # Populated by a fleet worker (repro.fleet.worker); a
-            # standalone monitor has no fleet context.
-            info = getattr(self, "fleet_info", None)
-            if not info:
-                return "fleet: not a fleet worker"
-            return "\n".join(f"{key}: {info[key]}"
-                             for key in sorted(info))
-        if command == "jit":
-            return self._jit_command(parts[1:])
-        if command == "tv":
-            return self._tv_command(parts[1:])
-        if command == "net":
-            return self._net_command(parts[1:])
-        if command == "help":
-            return ("monitor commands: stats console trace [n] shadow "
-                    "hang watchdog fleet record [checkpoint] replay "
-                    "jit tv net help\n"
-                    "structured trace: trace start [stride] | stop | "
-                    "dump [n] | status\n"
-                    "superblocks: jit [on|off|flush]\n"
-                    "translation validation: tv [on|off]\n"
-                    "network: net [tcp|rx|all]")
-        return f"unknown monitor command {command!r} (try 'help')"
-
-    def _net_command(self, parts) -> str:
-        """``monitor net [tcp|rx|all]``: the process-wide ``net.*``
-        metrics snapshot (see docs/PROTOCOL.md and INTERNALS.md §15).
-
-        The TCP stack and the streaming workload publish their
-        counters into the shared registry (``repro.obs.metrics``);
-        this command is the debugger-side window onto them —
-        retransmits, RTO expirations, dup-acks, the cwnd histogram,
-        malformed-frame drops.
-        """
-        from repro.obs.metrics import global_registry
-        scope = parts[0] if parts else "all"
-        prefixes = {"tcp": ("net.tcp.",), "rx": ("net.rx.",),
-                    "all": ("net.",)}.get(scope)
-        if prefixes is None:
-            return f"unknown net subcommand {scope!r} (try 'help')"
-        registry = global_registry()
-        lines = []
-        for name in registry.names():
-            if not name.startswith(prefixes):
-                continue
-            snap = registry.get(name).snapshot()
-            if snap["type"] == "histogram":
-                buckets = " ".join(
-                    f"<={bound}:{count}" for bound, count
-                    in snap["buckets"].items() if count)
-                lines.append(f"{name}: count={snap['count']} "
-                             f"min={snap['min']} max={snap['max']} "
-                             f"{buckets or '(empty)'}")
-            else:
-                lines.append(f"{name}: {snap['value']}")
-        return "\n".join(lines) if lines else \
-            "net: no net.* metrics recorded yet"
-
-    def _jit_command(self, parts) -> str:
-        """``monitor jit [on|off|flush]``: superblock translator control
-        and status (see docs/PROTOCOL.md and docs/INTERNALS.md §12)."""
-        cpu = self.machine.cpu
-        engine = cpu._sb_engine
-        if engine is None:
-            return ("superblock translation unavailable "
-                    "(CPU built with translate=False)")
-        if parts:
-            action = parts[0]
-            if action == "on":
-                engine.enabled = True
-                return "superblock translation enabled"
-            if action == "off":
-                engine.enabled = False
-                engine.invalidate()
-                return "superblock translation disabled (blocks flushed)"
-            if action == "flush":
-                engine.invalidate()
-                return "superblock cache flushed"
-            return f"unknown jit subcommand {action!r} (try 'help')"
-        stats = engine.stats()
-        return (f"superblock translation: "
-                f"{'on' if stats['enabled'] else 'off'}\n"
-                f"blocks: {stats['entries']} live, "
-                f"{stats['blocks_compiled']} compiled, "
-                f"{stats['invalidations']} invalidations\n"
-                f"dispatch: {stats['hits']} block entries, "
-                f"{stats['guard_failures']} guard failures\n"
-                f"translated: {stats['insns_translated']} instructions "
-                f"(hit-rate {stats['hit_rate']:.3f})")
-
-    def _tv_command(self, parts) -> str:
-        """``monitor tv [on|off]``: verify-on-compile translation
-        validation control and status (see docs/INTERNALS.md §13)."""
-        cpu = self.machine.cpu
-        engine = cpu._sb_engine
-        if engine is None:
-            return ("translation validation unavailable "
-                    "(CPU built with translate=False)")
-        if parts:
-            action = parts[0]
-            if action == "on":
-                engine.verify = True
-                # Already-installed blocks were compiled unverified;
-                # flush so every live block has been through the prover.
-                engine.invalidate()
-                return ("translation validation enabled "
-                        "(block cache flushed)")
-            if action == "off":
-                engine.verify = False
-                return "translation validation disabled"
-            return f"unknown tv subcommand {action!r} (try 'help')"
-        stats = engine.tv_stats()
-        lines = [f"translation validation: "
-                 f"{'on' if stats['enabled'] else 'off'}\n"
-                 f"blocks validated: {stats['validated']}, "
-                 f"rejected: {stats['rejected']}"]
-        for message in stats["failures"][:8]:
-            lines.append(f"  {message}")
-        return "\n".join(lines)
-
-    def _trace_event(self, kind: str, detail: str) -> None:
-        """Append one monitor event to the :attr:`trace` ring."""
-        cpu = self.machine.cpu
-        cost_attr = _SPAN_COSTS.get(kind)
-        dur = getattr(self.cost, cost_attr, 0) if cost_attr else 0
-        args = {"detail": detail}
-        if dur:
-            self.trace.complete(CAT_TRAP, kind, cpu.cycle_count, dur,
-                                cpu.instret, pc=cpu.pc, args=args)
-        else:
-            self.trace.instant(CAT_TRAP, kind, cpu.cycle_count,
-                               cpu.instret, pc=cpu.pc, args=args)
-
-    def _format_trace(self, count: int) -> str:
-        """``monitor trace [n]``: the ring's newest ``count`` events."""
-        records = self.trace.tail(count)
-        if not records:
-            return "(trace empty)"
-        return "\n".join(
-            f"[{record.seq:6d}] cyc={record.cycle:<12d} "
-            f"pc={record.pc:#010x} {record.name:<8s} "
-            f"{record.args['detail']}" for record in records)
-
-    def _trace_command(self, parts) -> str:
-        """``monitor trace start|stop|dump|status``: live structured
-        tracing of this debug session over RSP."""
-        action = parts[0]
-        if action == "start":
-            if self.obs_tracer is not None:
-                return "structured trace already running"
-            stride = int(parts[1]) if len(parts) > 1 else 4096
-            tracer = Tracer()
-            tracer.attach(monitor=self, recorder=self.recorder)
-            self.attach_profiler(GuestProfiler(stride=stride))
-            self.obs_tracer = tracer
-            return (f"structured trace started "
-                    f"(profiler stride {stride} instructions)")
-        tracer = self.obs_tracer
-        if tracer is None:
-            return "structured trace not running ('monitor trace start')"
-        if action == "dump":
-            count = int(parts[1]) if len(parts) > 1 else 24
-            events = tracer.bus.tail(count)
-            if not events:
-                return "(structured trace empty)"
-            return "\n".join(event.format() for event in events)
-        if action == "status":
-            stats = tracer.bus.stats()
-            profiler = self.profiler
-            lines = [f"structured trace: on "
-                     f"({stats['retained']} events retained, "
-                     f"{stats['recorded']} recorded, "
-                     f"{stats['dropped']} dropped)"]
-            counts = tracer.bus.counts_by_category()
-            if counts:
-                lines.append("by category: " + ", ".join(
-                    f"{cat}={n}" for cat, n in counts.items()))
-            if profiler is not None:
-                lines.append(f"profiler: {profiler.total_samples} "
-                             f"samples at stride {profiler.stride}")
-            return "\n".join(lines)
-        # action == "stop"
-        recorded = tracer.bus.total_recorded
-        samples = self.profiler.total_samples \
-            if self.profiler is not None else 0
-        tracer.detach()
-        self.detach_profiler()
-        self.obs_tracer = None
-        return (f"structured trace stopped "
-                f"({recorded} events, {samples} profile samples)")
-
-    _hang_last_instret = 0
-
-    def _hang_report(self) -> str:
-        """Hang diagnosis: progress since the last check + a verdict.
-
-        The conventional embedded stub cannot even be *asked* this
-        question once the guest wedges; asking it of the monitor is
-        always safe.
-        """
-        cpu = self.machine.cpu
-        progress = cpu.instret - self._hang_last_instret
-        self._hang_last_instret = cpu.instret
-        if self.guest_dead:
-            verdict = f"guest is dead: {self.guest_dead_reason}"
-        elif cpu.halted and not self.shadow.vif:
-            verdict = ("guest parked in HLT with virtual IF clear — "
-                       "it can never wake (dead idle or missed STI)")
-        elif cpu.halted:
-            verdict = "guest idle in HLT, interrupts enabled (healthy)"
-        elif not self.shadow.vif and progress > 0:
-            verdict = ("guest executing with virtual IF clear — "
-                       "a long critical section or an interrupt-off spin")
-        elif progress == 0 and not self.stopped:
-            verdict = "no progress since last check — possible hard spin"
-        else:
-            verdict = "guest making progress"
-        return (f"instructions retired: {cpu.instret} "
-                f"(+{progress} since last check)\n"
-                f"pc={cpu.pc:#010x} halted={cpu.halted} "
-                f"vif={self.shadow.vif}\n{verdict}")
 
     def resume_guest(self, step: bool) -> None:
         if self.degradation_level != DEGRADE_FULL:

@@ -8,7 +8,7 @@ strict.
 
 import pytest
 
-from repro.analysis import SEV_ERROR, analyze_program
+from repro.analysis import SEV_ERROR, analyze_image, analyze_program
 from repro.asm.assembler import assemble
 from repro.guest import asmkernel, asmthreads
 from repro.guest.asmkernel import KernelConfig, build_kernel, build_user_task
@@ -18,7 +18,6 @@ from repro.vmm import (
     GuestImageRejected,
     GuestImageWarning,
     Monitor,
-    verify_image,
 )
 
 MONITOR_BASE = firmware.monitor_base(16 << 20)
@@ -175,8 +174,8 @@ class TestLoadTimeGate:
 
     def test_verify_image_reports(self):
         program = self._flagged_program()
-        report = verify_image(program.image, program.origin,
-                              monitor_base=MONITOR_BASE)
+        report = analyze_image(program.image, program.origin,
+                               monitor_base=MONITOR_BASE)
         assert "AN001" in error_checks(report)
 
     def test_clean_image_loads_without_warning(self):

@@ -2,14 +2,19 @@
 bytes — a debugger that can be crashed by line noise is not "stable".
 """
 
-from hypothesis import given, settings
+import string
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import DebugSession
+from repro.guest import KernelConfig, build_kernel
 from repro.hw import Cpu, IoBus, PhysicalMemory
 from repro.hw import firmware
-from repro.rsp.packets import PacketDecoder, frame
+from repro.rsp.packets import PacketDecoder, frame, hex_decode
 from repro.rsp.stub import DebugStub
-from repro.rsp.target import CpuTargetAdapter
+from repro.rsp.target import NUM_REPORTED_REGS, CpuTargetAdapter
+from repro.vmm.commands import COMMANDS
 
 
 def make_stub():
@@ -96,3 +101,42 @@ class TestStubStateMachine:
         replies = bytes(sent).count(b"$")
         assert replies == len(commands)
         assert stub.packets_handled == len(commands)
+
+
+_WORD = st.text(alphabet=string.ascii_letters + string.digits + "-_.",
+                min_size=1, max_size=10)
+#: Argument tokens: the qRcmd grammar's own words, small (also
+#: non-positive) counts and strides, or any word at all.
+_TOKEN = st.one_of(
+    st.sampled_from(["start", "stop", "dump", "status", "on", "off",
+                     "flush", "checkpoint", "tcp", "rx", "all"]),
+    st.integers(min_value=-2, max_value=64).map(str),
+    _WORD)
+
+
+class TestLvmmMonitorCommands:
+    @given(commands=st.lists(
+        st.tuples(st.one_of(st.sampled_from(sorted(COMMANDS)), _WORD),
+                  st.lists(_TOKEN, max_size=3)),
+        min_size=1, max_size=6))
+    @example(commands=[("trace", ["start", "0"]), ("trace", ["start", "8"]),
+                       ("trace", ["dump", "0"]), ("trace", ["stop"])])
+    @settings(max_examples=60, deadline=None)
+    def test_any_qrcmd_is_answered_and_leaks_no_tap(self, commands):
+        """Whatever the host sends as ``monitor ...``, the LVMM replies,
+        subscribes nothing it does not own, and keeps serving RSP."""
+        sess = DebugSession(monitor="lvmm")
+        sess.load_and_boot(build_kernel(KernelConfig(ticks_to_run=4)))
+        sess.attach()
+        monitor = sess.monitor
+        for name, tokens in commands:
+            text = " ".join([name, *tokens])
+            reply = sess.client.exchange(
+                b"qRcmd," + text.encode("ascii").hex().encode("ascii"))
+            assert reply in (b"E01", b"OK") or hex_decode(
+                reply.decode("ascii"))
+            if monitor.obs_tracer is None:
+                assert not monitor.trace.taps
+                assert not monitor.record_taps
+        registers = hex_decode(sess.client.exchange(b"g").decode("ascii"))
+        assert len(registers) == 4 * NUM_REPORTED_REGS

@@ -94,6 +94,8 @@ class TestTraceBusRing:
         bus.instant(CAT_DEVICE, "b", cycle=2)
         bus.instant(CAT_IRQ, "c", cycle=3)
         assert [e.name for e in bus.tail(2)] == ["b", "c"]
+        assert bus.tail(0) == []
+        assert bus.tail(-2) == []
         assert [e.name for e in bus.by_category(CAT_IRQ)] == ["a", "c"]
         assert bus.counts_by_category() == {"device": 1, "irq": 2}
 
