@@ -29,10 +29,11 @@ guest in fixed instruction slices under a :class:`FlightRecorder`
 spooling to disk (fsync at every frame boundary), one checkpoint
 digest per slice.  When the supervisor restarts a killed worker it
 sends the journal paths in ``resume``: the worker replays the original
-journal (relaxed), re-applies any continuation journals, verifies it
-landed on the recorded digest, then seeds a fresh recorder with the
-replayer's rolling t2h digest and keeps going — the resumed run's
-checkpoint digests are byte-identical to an uninterrupted run's.
+journal with any continuation journals appended (one relaxed walk),
+takes the recorded checkpoint digests (or the replay's final digest
+for a slice killed before its checkpoint), then attaches a fresh
+recorder and keeps going — the resumed run's checkpoint digests are
+byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -120,64 +121,36 @@ class ExecSlices:
         self.monitor.stopped = True
 
     def _build_resumed(self, resume: Dict, spool_fsync: bool) -> None:
-        from repro.replay.digest import state_digest
         from repro.replay.journal import load_journal
         from repro.replay.recorder import FlightRecorder
         from repro.replay.replayer import Replayer
 
+        # Continuation spools begin mid-stream (no bootable header):
+        # they replay as the original journal's tail, in one walk.
         journal = load_journal(resume["journal"])
+        for path in resume.get("continuations", []):
+            journal.frames += load_journal(path).frames
         replayer = Replayer(journal, strict=False)
-        replayer.run()
+        replay = replayer.run()
         replayer.detach()
         self.machine = replayer.machine
         self.monitor = replayer.monitor
         digests = [frame.data["digest"] for frame in journal.frames
                    if frame.kind == "checkpoint"]
-        runs = sum(1 for frame in journal.frames
-                   if frame.kind == "run")
-        for path in resume.get("continuations", []):
-            applied, extra = self._apply_continuation(path)
-            runs += applied
-            digests.extend(extra)
+        runs = sum(1 for frame in journal.frames if frame.kind == "run")
         if len(digests) < runs:
             # Killed between a run frame and its checkpoint: the state
-            # is still exact, only the digest frame is missing —
-            # recompute it from the rebuilt machine.
-            digests.append(state_digest(
-                self.machine, self.monitor,
-                extra={"t2h": [replayer._t2h_count,
-                               replayer._t2h.hexdigest()[:16]]}))
+            # is still exact, only the digest frame is missing — the
+            # replay's own final digest is that checkpoint.
+            digests.append(replay.final_digest)
         self.digests = digests[:runs]
         self.done = runs
+        # Takes over the replay's finished recorder, and with it the
+        # rolling target-to-host digest.
         self.recorder = FlightRecorder(
             self.machine, self.monitor, scenario="fleet-exec-cont",
             seed=self.params.get("seed"), checkpoint_every=1,
             spool=resume.get("spool"), spool_fsync=spool_fsync)
-        self.recorder.seed_t2h(replayer._t2h_count, replayer._t2h)
-
-    def _apply_continuation(self, path: str):
-        """Re-drive run frames of a continuation journal (a spool that
-        began mid-stream, so it has no bootable header of its own)."""
-        from repro.errors import TripleFault
-        from repro.replay.journal import load_journal
-        journal = load_journal(path)
-        applied, digests = 0, []
-        for frame in journal.frames:
-            kind = frame.kind
-            if kind == "run":
-                self.monitor.stopped = frame.data["pre_stopped"]
-                try:
-                    self.monitor.run(frame.data["max"])
-                except TripleFault as fault:
-                    self.monitor._guest_died(str(fault))
-                applied += 1
-            elif kind == "checkpoint":
-                digests.append(frame.data["digest"])
-            elif kind in ("uart-rx", "wild-write", "spurious-irq"):
-                raise RuntimeError(
-                    "continuation journal contains input frames; "
-                    "only input-free workloads are resumable")
-        return applied, digests
 
     # -- stepping ------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import JournalError
+from repro.hw.machine import MachineConfig
 
 from hashlib import sha256
 
@@ -258,6 +259,54 @@ class JournalWriter:
             os._exit(143)
 
         signal.signal(signal.SIGTERM, _handler)
+
+
+def typed_field(data: Dict, name: str, kind, where: str):
+    """``data[name]`` if it is a ``kind``, else :class:`JournalError`.
+
+    ``kind=bytes`` expects a hex string and returns it decoded.  The
+    error names ``where`` (e.g. ``"frame 12 (run)"``), so a journal with
+    valid framing but bad contents is rejected, never crashes replay.
+    """
+    value = data.get(name) if isinstance(data, dict) else None
+    try:
+        if kind is bytes:
+            return bytes.fromhex(value)
+        if isinstance(value, kind):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise JournalError(f"{where}: bad {name!r} field {value!r:.40}")
+
+
+#: The :class:`MachineConfig` fields a journal header carries, with
+#: their JSON types.  Listed explicitly: a new field here changes every
+#: journal header, the goldens included.
+HEADER_CONFIG = {"memory_size": int, "cpu_hz": (int, float),
+                 "disks": list, "disk_rate_bytes_per_sec": (int, float),
+                 "with_nic": bool, "nic_mmio_base": int}
+
+
+def header_config(config: MachineConfig) -> Dict:
+    """The header's ``config`` entry for a machine configuration."""
+    entry = {name: getattr(config, name) for name in HEADER_CONFIG}
+    entry["disks"] = [list(disk) for disk in config.disks]
+    return entry
+
+
+def machine_config(header: Dict) -> MachineConfig:
+    """The machine configuration a journal header describes."""
+    config = header.get("config")
+    values = {name: typed_field(config, name, kind, "journal header config")
+              for name, kind in HEADER_CONFIG.items()}
+    disks = values["disks"]
+    if not all(isinstance(disk, list) and len(disk) == 2
+               and all(isinstance(value, int) for value in disk)
+               for disk in disks):
+        raise JournalError(f"journal header config: bad 'disks' field "
+                           f"{disks!r:.40}")
+    values["disks"] = [tuple(disk) for disk in disks]
+    return MachineConfig(**values)
 
 
 def save_journal(journal: Journal, path) -> None:

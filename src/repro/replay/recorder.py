@@ -39,7 +39,7 @@ from repro.errors import MonitorError
 from repro.obs.taps import TapPoint
 from repro.replay.digest import state_digest
 from repro.replay.journal import (FRAME_CHECKPOINT, FRAME_END, FRAME_EVENT,
-                                  Frame, Journal)
+                                  Frame, Journal, header_config)
 
 #: Frame kinds that are replayed verbatim (the actual nondeterminism).
 INPUT_KINDS = ("uart-rx", "wild-write", "spurious-irq")
@@ -64,26 +64,19 @@ class FlightRecorder:
             raise MonitorError(
                 "flight recording needs a monitor with record_taps "
                 "(the lightweight VMM)")
-        if monitor.recorder is not None and not monitor.recorder.finished:
+        previous = monitor.recorder
+        if previous is not None and not previous.finished:
             raise MonitorError("a recorder is already attached")
         self.machine = machine
         self.monitor = monitor
         self.plan = plan
         self.checkpoint_every = checkpoint_every
-        config = machine.config
         self.header: Dict = {
             "scenario": scenario,
             "seed": seed,
             "monitor": "lvmm",
             "checkpoint_every": checkpoint_every,
-            "config": {
-                "memory_size": config.memory_size,
-                "cpu_hz": config.cpu_hz,
-                "disks": [list(entry) for entry in config.disks],
-                "disk_rate_bytes_per_sec": config.disk_rate_bytes_per_sec,
-                "with_nic": config.with_nic,
-                "nic_mmio_base": config.nic_mmio_base,
-            },
+            "config": header_config(machine.config),
         }
         if program is not None:
             self.header["guest"] = {"origin": program.origin,
@@ -101,8 +94,12 @@ class FlightRecorder:
         self.frames: List[Frame] = []
         self.finished = False
         self._rx_buffer = bytearray()
-        self._t2h = hashlib.sha256()
-        self._t2h_count = 0
+        # One machine, one target-to-host stream: a recorder taking over
+        # from a finished one (a resumed fleet job after its replay)
+        # continues its rolling digest, so micro-digests and checkpoints
+        # line up with an uninterrupted recording.
+        self._t2h = previous._t2h.copy() if previous else hashlib.sha256()
+        self._t2h_count = previous._t2h_count if previous else 0
         self._run_depth = 0
         self._pre_stopped = False
         self._runs_completed = 0
@@ -248,20 +245,6 @@ class FlightRecorder:
             self.counters["xc_frames"] += 1
             self._append(Frame(FRAME_EVENT, data))
             return
-
-    # -- resume support ------------------------------------------------------
-
-    def seed_t2h(self, count: int, hasher) -> None:
-        """Adopt a rolling target-to-host digest from a prior epoch.
-
-        A recorder attached to a machine rebuilt by journal replay must
-        continue the *recorded* t2h stream digest, not start a fresh
-        one, or its micro-digests and checkpoints would never line up
-        with an uninterrupted run.  ``hasher`` is a live sha256 object
-        (the replayer's); it is copied, never shared.
-        """
-        self._t2h = hasher.copy()
-        self._t2h_count = count
 
     # -- checkpoints and completion ------------------------------------------
 

@@ -5,19 +5,16 @@ the serial link, ``run``/``svc`` frames re-execute the recorded host
 interleaving, ``wild-write``/``spurious-irq`` frames re-fire the
 campaign triggers.  Because the simulator is deterministic, everything
 else must *re-happen* — and the journal carries the evidence to prove
-it did:
+it did.
 
-* ``xc-*`` frames are matched against the events the replay actually
-  generates, via an expectation queue: the walker queues the evidence
-  frames it passes, taps consume them in order, and a tap with no
-  queued expectation looks ahead past the current frame (evidence
-  recorded during input processing lands *after* its input frame).
-  Any mismatch, leftover expectation, or unexpected event is the first
-  divergence — pinned to a frame index, instruction count and cycle;
-* ``run``/``svc`` frames carry micro-digests (instructions retired,
-  cycle, rolling target-to-host stream digest) checked when the
-  operation completes;
-* ``checkpoint``/``end`` frames carry whole-machine state digests.
+A replay is a second recording: the replayer attaches a
+:class:`~repro.replay.recorder.FlightRecorder` to the machine it
+rebuilds (before boot, as the recording did) and compares every
+evidence frame that recorder appends — ``xc-*`` events, ``run``/``svc``
+micro-digests, ``checkpoint``/``end`` state digests — with the next
+recorded evidence frame.  The evidence format is thus written in one
+place.  The first mismatch is the divergence, pinned to a frame index,
+instruction count and cycle.
 
 :func:`bisect_divergence` runs O(log n) relaxed prefix replays against
 the recorded micro-digests to bracket a divergence between the last
@@ -29,19 +26,19 @@ minimizer shrinks against.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import JournalError, TripleFault
-from repro.hw.machine import Machine, MachineConfig
-from repro.replay.digest import state_digest
-from repro.replay.journal import Journal
-from repro.replay.recorder import OP_KINDS, XC_KINDS
+from repro.hw.machine import Machine
+from repro.replay.journal import Frame, Journal, machine_config, typed_field
+from repro.replay.recorder import FlightRecorder, OP_KINDS, XC_KINDS
 
 #: Frame kinds that carry checkable evidence (bisection probe points).
 EVIDENCE_KINDS = ("run", "svc", "checkpoint", "end")
+#: Frame kinds a strict replay regenerates and compares, in order.
+COMPARED_KINDS = XC_KINDS + EVIDENCE_KINDS
 
 
 @dataclass
@@ -72,6 +69,8 @@ class ReplayResult:
     frames_applied: int = 0
     final_digest: str = ""
     t2h: List = field(default_factory=list)
+    #: The end frame the replay's own recorder wrote.
+    end_frame: Optional[Frame] = None
     checks: Dict[str, bool] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
     machine: Optional[Machine] = None
@@ -105,7 +104,8 @@ def evaluate_checks(checks: List[Dict], machine, monitor) -> Dict[str, bool]:
     """
     results: Dict[str, bool] = {}
     for check in checks:
-        name = check.get("check", "?")
+        name = (str(check.get("check", "?")) if isinstance(check, dict)
+                else "?")
         if name == "guest-dead":
             results[name] = bool(monitor.guest_dead)
         elif name == "monitor-corrupt":
@@ -134,12 +134,17 @@ class Replayer:
         self.probe_frame = probe_frame
         self.stop_after = stop_after
         self.divergence: Optional[Divergence] = None
-        self._expected = deque()
-        self._consumed = set()
-        self._cursor = 0
-        self._t2h = hashlib.sha256()
-        self._t2h_count = 0
         self.frames_applied = 0
+        #: Recorded evidence frames (indices) not yet matched; a strict
+        #: replay pairs each regenerated evidence frame with the first.
+        self._pending = deque(
+            index for index, frame in enumerate(journal.frames)
+            if strict and frame.kind in COMPARED_KINDS
+            and (stop_after is None or index <= stop_after))
+        #: The frame being applied, and whether what the recorder
+        #: appends meanwhile is checked.
+        self._index = 0
+        self._verify = False
         self._build_machine()
 
     # -- machine construction ------------------------------------------------
@@ -147,100 +152,88 @@ class Replayer:
     def _build_machine(self) -> None:
         from repro.vmm.monitor import LightweightVmm
         header = self.journal.header
-        config = header.get("config", {})
         if header.get("monitor") != "lvmm":
             raise JournalError(
                 f"cannot replay monitor {header.get('monitor')!r}")
         guest = header.get("guest")
         if not guest:
             raise JournalError("journal has no guest image to replay")
-        machine_config = MachineConfig(
-            memory_size=config["memory_size"],
-            cpu_hz=config["cpu_hz"],
-            disks=[tuple(entry) for entry in config["disks"]],
-            disk_rate_bytes_per_sec=config["disk_rate_bytes_per_sec"],
-            with_nic=config["with_nic"],
-            nic_mmio_base=config["nic_mmio_base"])
-        self.machine = Machine(machine_config)
+        origin = typed_field(guest, "origin", int, "journal header guest")
+        image = typed_field(guest, "image", bytes, "journal header guest")
+        self.machine = Machine(machine_config(header))
         self.monitor = LightweightVmm(self.machine)
         self.monitor.install()
-        self._install_taps()
+        # Re-record the run; checkpoints are taken only where the
+        # journal has one to verify.
+        self.recorder = FlightRecorder(self.machine, self.monitor,
+                                       checkpoint_every=0)
+        self.recorder.frame_taps.subscribe(self._on_frame)
         # Mirror DebugSession.load_and_boot: image, boot, attach stopped.
-        image = bytes.fromhex(guest["image"])
-        self.machine.memory.write(guest["origin"], image)
-        self.monitor.boot_guest(guest["origin"])
+        self.machine.memory.write(origin, image)
+        self.monitor.boot_guest(origin)
         self.monitor.stopped = True
 
-    def _taps(self) -> List:
-        """(tap point, bound callback) for every boundary observed.
-
-        The t2h stream digest is maintained in every mode (evidence and
-        final digests depend on it); event cross-checking only in
-        strict mode.
-        """
-        machine = self.machine
-        taps = [(machine.serial_link.taps, self._on_link_byte),
-                (self.monitor.record_taps, self._on_monitor_event)]
-        if self.strict:
-            taps += [(machine.pic.raise_taps, self._on_irq_raise),
-                     (machine.rtc.read_taps, self._on_rtc_read),
-                     (machine.queue.schedule_taps, self._on_schedule)]
-        return taps
-
-    def _install_taps(self) -> None:
-        for tap, callback in self._taps():
-            tap.subscribe(callback)
-
     def detach(self) -> None:
-        """Remove every replay tap from the rebuilt machine (idempotent).
+        """Leave the rebuilt machine unobserved (idempotent).
 
-        After a relaxed replay the machine/monitor pair is a faithful
-        reconstruction of the recorded state; detaching leaves it
-        unobserved so a new :class:`FlightRecorder` (or any other
-        observer) can take over — the fleet's journal-based worker
-        recovery resumes sessions this way.
+        Afterwards ``monitor.recorder`` is finished or None, so a new
+        :class:`FlightRecorder` (or any other observer) can take over —
+        the fleet's journal-based worker recovery resumes sessions this
+        way.  A completed :meth:`run` has already finished the replay's
+        recorder.
         """
-        for tap, callback in self._taps():
-            tap.unsubscribe(callback)
+        if not self.recorder.finished:
+            self.recorder.detach()
+            self.monitor.recorder = None
 
-    # -- expectation matching ------------------------------------------------
+    # -- evidence matching ---------------------------------------------------
 
-    def _observe(self, payload: Dict) -> None:
-        """An event happened during replay; match it against evidence."""
-        if not self.strict or self.divergence is not None:
+    def _on_frame(self, frame: Frame) -> None:
+        """The replay's recorder appended ``frame``; check it."""
+        kind = frame.kind
+        if not self._verify or self.divergence is not None \
+                or kind not in COMPARED_KINDS:
             return
-        if not self._expected:
-            self._lookahead()
-        if not self._expected:
-            self._diverge("event", self._cursor,
+        if self.strict:
+            index = self._pending.popleft() if self._pending else None
+        elif kind in XC_KINDS:
+            return  # a probe checks only its own frame's evidence
+        else:
+            index = self.probe_frame
+        recorded = self.journal.frames[index] if index is not None else None
+        if recorded is not None and recorded.kind in XC_KINDS:
+            if kind not in XC_KINDS:
+                self._diverge("missing", index,
+                              "recorded event did not occur during "
+                              "replay", expected=recorded.data)
+            elif recorded.data != frame.data:
+                self._diverge("event", index,
+                              "replayed event differs from recorded "
+                              "evidence",
+                              expected=recorded.data, actual=frame.data)
+        elif kind in XC_KINDS:
+            self._diverge("event", self._index,
                           "replay generated an event the recording "
-                          f"does not contain: {payload}",
-                          expected=None, actual=payload)
-            return
-        index, frame = self._expected.popleft()
-        if frame.data != payload:
-            self._diverge("event", index,
-                          "replayed event differs from recorded evidence",
-                          expected=frame.data, actual=payload)
+                          f"does not contain: {frame.data}",
+                          actual=frame.data)
+        elif recorded is not None and recorded.data != frame.data:
+            self._mismatch(index, recorded, frame)
 
-    def _lookahead(self) -> None:
-        """Queue evidence recorded *after* the frame being applied.
-
-        Evidence generated while an input frame is processed (IRQ raise
-        from delivered UART bytes, death from a wild write) lands after
-        that input frame in the journal; pull the run of xc/rng frames
-        that follows the cursor.
-        """
-        index = self._cursor + 1
-        frames = self.journal.frames
-        while index < len(frames) and index not in self._consumed:
-            kind = frames[index].kind
-            if kind in XC_KINDS:
-                self._expected.append((index, frames[index]))
-                self._consumed.add(index)
-            elif kind != "rng":
-                break
-            index += 1
+    def _mismatch(self, index: int, recorded: Frame, frame: Frame) -> None:
+        """An op (micro-digest) or checkpoint/end (state digest) differs."""
+        if recorded.kind in OP_KINDS:
+            keys = ("instret", "cycle", "t2h")
+            if recorded.kind == "run":
+                keys += ("executed",)
+            self._diverge(
+                "micro", index, f"{recorded.kind} micro-digest mismatch",
+                expected={key: recorded.data.get(key) for key in keys},
+                actual={key: frame.data.get(key) for key in keys})
+        else:
+            self._diverge(
+                "digest", index, f"{recorded.kind} state digest mismatch",
+                expected={"digest": recorded.data.get("digest")},
+                actual={"digest": frame.data.get("digest")})
 
     def _diverge(self, kind: str, frame_index: int, message: str,
                  expected=None, actual=None) -> None:
@@ -252,69 +245,53 @@ class Replayer:
             expected=expected, actual=actual,
             instret=cpu.instret, cycle=cpu.cycle_count)
 
-    # -- replay-side taps ----------------------------------------------------
-
-    def _on_link_byte(self, direction: str, byte: int) -> None:
-        if direction == "t2h":
-            self._t2h.update(bytes([byte]))
-            self._t2h_count += 1
-
-    def _on_irq_raise(self, line: int) -> None:
-        self._observe({"kind": "xc-irq", "line": line,
-                       "cycle": self.machine.cpu.cycle_count})
-
-    def _on_rtc_read(self, register: int, value: int) -> None:
-        self._observe({"kind": "xc-rtc", "reg": register, "value": value,
-                       "cycle": self.machine.cpu.cycle_count})
-
-    def _on_schedule(self, time: int, name: str) -> None:
-        self._observe({"kind": "xc-sched", "name": name, "at": time,
-                       "cycle": self.machine.cpu.cycle_count})
-
-    def _on_monitor_event(self, kind: str, payload: Dict) -> None:
-        if kind in ("stop", "death"):
-            data = {"kind": "xc-" + kind,
-                    "cycle": self.machine.cpu.cycle_count}
-            data.update(payload)
-            self._observe(data)
-        # run-begin/run-end/svc/wild-write/spurious-irq are driven by
-        # the walker itself; nothing to match.
-
-    # -- evidence checks -----------------------------------------------------
-
-    def _t2h_evidence(self) -> List:
-        return [self._t2h_count, self._t2h.hexdigest()[:16]]
-
-    def _check_micro(self, index: int, frame,
-                     executed: Optional[int] = None) -> bool:
-        cpu = self.machine.cpu
-        actual = {"instret": cpu.instret, "cycle": cpu.cycle_count,
-                  "t2h": self._t2h_evidence()}
-        expected = {"instret": frame.data["instret"],
-                    "cycle": frame.data["cycle"],
-                    "t2h": frame.data["t2h"]}
-        if executed is not None:
-            actual["executed"] = executed
-            expected["executed"] = frame.data["executed"]
-        if actual != expected:
-            self._diverge("micro", index,
-                          f"{frame.kind} micro-digest mismatch",
-                          expected=expected, actual=actual)
-            return False
-        return True
-
-    def _check_digest(self, index: int, frame) -> bool:
-        digest = state_digest(self.machine, self.monitor,
-                              extra={"t2h": self._t2h_evidence()})
-        if digest != frame.data["digest"]:
-            self._diverge("digest", index,
-                          f"{frame.kind} state digest mismatch",
-                          expected={"digest": frame.data["digest"]},
-                          actual={"digest": digest})
-            return False
-        return True
-
     # -- the walk ------------------------------------------------------------
+
+    def _apply(self, index: int, frame: Frame) -> None:
+        """Re-drive one input, operation, checkpoint or end frame."""
+        kind = frame.kind
+        data = frame.data
+        where = f"frame {index} ({kind})"
+        monitor = self.monitor
+        if kind == "uart-rx":
+            link = self.machine.serial_link
+            link.b_to_a.extend(typed_field(data, "data", bytes, where))
+            link._kick()
+        elif kind == "svc":
+            monitor.service_debugger()
+        elif kind == "run":
+            limit = typed_field(data, "max", int, where)
+            monitor.stopped = typed_field(data, "pre_stopped", bool, where)
+            try:
+                monitor.run(limit)
+            except TripleFault as fault:
+                monitor._guest_died(str(fault))
+        elif kind == "wild-write":
+            monitor.inject_wild_write(typed_field(data, "addr", int, where),
+                                      typed_field(data, "data", bytes, where))
+        elif kind == "spurious-irq":
+            line = typed_field(data, "line", int, where)
+            if not 0 <= line < 16:
+                raise JournalError(f"{where}: no IRQ line {line}")
+            monitor.inject_spurious_interrupt(line)
+        elif kind == "checkpoint":
+            if self._verify:
+                self.recorder.checkpoint()
+        elif kind == "end":
+            violations = typed_field(data, "violations", list, where)
+            checks = typed_field(data, "checks", list, where)
+            if not self.recorder.finished:  # else a second end frame
+                self.recorder.finish(violations=violations, checks=checks)
+        else:
+            self._diverge("event", index,
+                          f"journal contains unknown frame kind {kind!r}")
+
+    def _report(self, frame: int, total: int) -> None:
+        """Publish progress for the ``monitor replay`` command."""
+        self.monitor.replay_status = {
+            "frame": frame, "total": total, "mode": self._mode(),
+            "divergence": (self.divergence.to_dict()
+                           if self.divergence else None)}
 
     def run(self) -> ReplayResult:
         frames = self.journal.frames
@@ -326,86 +303,36 @@ class Replayer:
                 break
             if self.strict and self.divergence is not None:
                 break
-            self.monitor.replay_status = {
-                "frame": index, "total": total, "mode": self._mode(),
-                "divergence": (self.divergence.to_dict()
-                               if self.divergence else None)}
-            if index in self._consumed:
-                continue
-            kind = frame.kind
-            if kind == "rng":
-                continue
-            if kind in XC_KINDS:
-                if self.strict:
-                    self._expected.append((index, frame))
-                    self._consumed.add(index)
-                continue
-            self._cursor = index
-            probe_here = (self.probe_frame is not None
-                          and index == self.probe_frame)
-            verify = self.strict or probe_here
-            if kind == "uart-rx":
-                link = self.machine.serial_link
-                link.b_to_a.extend(bytes.fromhex(frame.data["data"]))
-                link._kick()
-            elif kind == "svc":
-                self.monitor.service_debugger()
-                if verify:
-                    self._check_micro(index, frame)
-            elif kind == "run":
-                self.monitor.stopped = frame.data["pre_stopped"]
-                try:
-                    executed = self.monitor.run(frame.data["max"])
-                except TripleFault as fault:
-                    self.monitor._guest_died(str(fault))
-                    executed = 0
-                if verify:
-                    self._check_micro(index, frame, executed=executed)
-            elif kind == "wild-write":
-                self.monitor.inject_wild_write(
-                    frame.data["addr"], bytes.fromhex(frame.data["data"]))
-            elif kind == "spurious-irq":
-                self.monitor.inject_spurious_interrupt(frame.data["line"])
-            elif kind == "checkpoint":
-                if verify:
-                    self._check_digest(index, frame)
-            elif kind == "end":
-                if verify:
-                    self._check_digest(index, frame)
-                checks = evaluate_checks(frame.data.get("checks", []),
+            self._report(index, total)
+            if frame.kind == "rng" or frame.kind in XC_KINDS:
+                continue  # evidence and provenance: regenerated, not applied
+            self._index = index
+            self._verify = self.strict or index == self.probe_frame
+            self._apply(index, frame)
+            if frame.kind == "end":
+                checks = evaluate_checks(frame.data["checks"],
                                          self.machine, self.monitor)
-                violations = list(frame.data.get("violations", []))
-            else:
-                self._diverge("event", index,
-                              f"journal contains unknown frame kind "
-                              f"{kind!r}")
+                violations = list(frame.data["violations"])
             self.frames_applied += 1
-            if self.strict and kind in OP_KINDS and self._expected \
-                    and self.divergence is None:
-                missing_index, missing = self._expected[0]
-                self._diverge("missing", missing_index,
-                              "recorded event did not occur during "
-                              "replay", expected=missing.data, actual=None)
-            if probe_here:
+            if index == self.probe_frame:
                 break
-        if self.strict and self._expected and self.divergence is None:
-            missing_index, missing = self._expected[0]
-            self._diverge("missing", missing_index,
+        self._verify = False
+        if self._pending and self.divergence is None:
+            index = self._pending[0]
+            self._diverge("missing", index,
                           "recorded event did not occur during replay",
-                          expected=missing.data, actual=None)
-        final_digest = state_digest(self.machine, self.monitor,
-                                    extra={"t2h": self._t2h_evidence()})
-        self.monitor.replay_status = {
-            "frame": self.frames_applied, "total": total,
-            "mode": self._mode(),
-            "divergence": (self.divergence.to_dict()
-                           if self.divergence else None)}
+                          expected=frames[index].data)
+        if not self.recorder.finished:
+            self.recorder.finish()
+        end = self.recorder.journal.frames[-1]
+        self._report(self.frames_applied, total)
         return ReplayResult(
             ok=self.divergence is None,
             divergence=self.divergence,
             frames_applied=self.frames_applied,
-            final_digest=final_digest,
-            t2h=self._t2h_evidence(),
+            final_digest=end.data["digest"],
+            t2h=end.data["t2h"],
+            end_frame=end,
             checks=checks,
             violations=violations,
             machine=self.machine,

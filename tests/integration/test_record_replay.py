@@ -9,6 +9,7 @@ import pytest
 from repro.errors import JournalError, MonitorError
 from repro.faults.campaign import run_scenario
 from repro.replay import (
+    FRAME_EVENT,
     FlightRecorder,
     Frame,
     Journal,
@@ -131,7 +132,9 @@ class TestDivergenceDetection:
         assert not replay.ok
         d = replay.divergence
         assert d is not None
-        assert d.frame_index > 0
+        # The moved write still dies, for a different reason: the
+        # xc-death evidence after the wild-write differs.
+        assert (d.kind, d.frame_index) == ("event", 51)
         assert d.expected != d.actual
 
     def test_bisect_brackets_and_names_divergence(self, captured):
@@ -150,6 +153,56 @@ class TestDivergenceDetection:
         result, _ = captured
         journal = load_journal(result["journal"])
         assert bisect_divergence(journal) is None
+
+
+def _first(journal, kind):
+    return next(index for index, frame in enumerate(journal.frames)
+                if frame.kind == kind)
+
+
+def _flip_irq_line(journal):
+    journal.frames[_first(journal, "xc-irq")].data["line"] ^= 1
+
+
+def _bump_run_instret(journal):
+    journal.frames[_first(journal, "run")].data["instret"] += 1
+
+
+def _zero_checkpoint_digest(journal):
+    journal.frames[_first(journal, "checkpoint")].data["digest"] = "0" * 64
+
+
+def _fabricate_irq_before_end(journal):
+    journal.frames.insert(len(journal.frames) - 1, Frame(
+        FRAME_EVENT, {"kind": "xc-irq", "line": 0, "cycle": 0}))
+
+
+def _delete_first_irq(journal):
+    del journal.frames[_first(journal, "xc-irq")]
+
+
+class TestDivergenceTaxonomy:
+    """One edit of the golden journal per divergence kind; the strict
+    replay and the bisection both name the edited frame."""
+
+    @pytest.mark.parametrize("edit, kind, frame_index", [
+        (_flip_irq_line, "event", 1),
+        (_bump_run_instret, "micro", 44),
+        (_zero_checkpoint_digest, "digest", 48),
+        (_fabricate_irq_before_end, "missing", 109),
+        (_delete_first_irq, "event", 30),
+    ], ids=["event-differs", "micro", "digest", "missing", "event-extra"])
+    def test_edit_names_kind_and_frame(self, edit, kind, frame_index):
+        journal = _copy(load_journal(GOLDEN))
+        edit(journal)
+        divergence = replay_journal(journal, strict=True).divergence
+        assert divergence is not None
+        assert (divergence.kind, divergence.frame_index) \
+            == (kind, frame_index)
+        report = bisect_divergence(journal)
+        assert (report.last_good_frame, report.first_bad_frame,
+                report.probes_run) == (None, frame_index, 1)
+        assert report.divergence.to_dict() == divergence.to_dict()
 
 
 class TestMinimization:

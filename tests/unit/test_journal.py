@@ -1,18 +1,25 @@
 """Unit tests for the replay journal container (format + durability)."""
 
+import os
+import re
+
 import pytest
 
 from repro.errors import JournalError
+from repro.hw.machine import MachineConfig
 from repro.replay.journal import (
     FRAME_CHECKPOINT,
     FRAME_END,
     FRAME_EVENT,
     FRAME_HEADER,
+    HEADER_CONFIG,
     MAGIC,
     Frame,
     Journal,
+    header_config,
     load_journal,
     loads_journal,
+    machine_config,
     save_journal,
 )
 
@@ -142,15 +149,101 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
+# Journal contents: the header's machine config and hostile frames
+# ----------------------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden",
+                      "replay_wild-writes_seed1234.journal")
+
+
+def _golden_frame(journal, kind):
+    return next(frame for frame in journal.frames if frame.kind == kind)
+
+
+class TestHeaderConfig:
+    def test_round_trip_keeps_the_header_fields(self):
+        config = MachineConfig(memory_size=1 << 22, with_nic=False,
+                               disks=[(64, 9)])
+        header = {"config": header_config(config)}
+        assert set(header["config"]) == set(HEADER_CONFIG)
+        rebuilt = machine_config(header)
+        for name in HEADER_CONFIG:
+            assert getattr(rebuilt, name) == getattr(config, name)
+
+    def test_golden_header_is_the_default_machine(self):
+        header = load_journal(GOLDEN).header
+        assert header["config"] == header_config(MachineConfig())
+
+
+def _drop_cpu_hz(journal):
+    del journal.header["config"]["cpu_hz"]
+
+
+def _non_hex_image(journal):
+    journal.header["guest"]["image"] = "zz"
+
+
+def _run_without_max(journal):
+    del _golden_frame(journal, "run").data["max"]
+
+
+def _string_wild_write_addr(journal):
+    _golden_frame(journal, "wild-write").data["addr"] = "0x1000"
+
+
+def _non_hex_uart_rx(journal):
+    _golden_frame(journal, "uart-rx").data["data"] = "not hex"
+
+
+def _spurious_irq_line_out_of_range(journal):
+    _golden_frame(journal, "spurious-irq").data["line"] = -1
+
+
+class TestMalformedContents:
+    """Valid framing, bad contents: replay raises JournalError naming
+    where, and ``repro-replay verify`` exits 2 with ``error:``."""
+
+    @pytest.mark.parametrize("edit, where", [
+        (_drop_cpu_hz, "journal header config: bad 'cpu_hz'"),
+        (_non_hex_image, "journal header guest: bad 'image'"),
+        (_run_without_max, "frame 44 (run): bad 'max'"),
+        (_string_wild_write_addr, "frame 50 (wild-write): bad 'addr'"),
+        (_non_hex_uart_rx, "frame 0 (uart-rx): bad 'data'"),
+        (_spurious_irq_line_out_of_range,
+         "frame 54 (spurious-irq): no IRQ line -1"),
+    ], ids=["config-no-cpu-hz", "guest-image-not-hex", "run-no-max",
+            "wild-write-addr-string", "uart-rx-not-hex",
+            "spurious-irq-line-out-of-range"])
+    def test_rejected_with_journal_error(self, edit, where, tmp_path,
+                                         capsys):
+        from repro.replay import replay_journal
+        from repro.replay.cli import main
+        journal = load_journal(GOLDEN)
+        edit(journal)
+        path = str(tmp_path / "malformed.journal")
+        save_journal(journal, path)
+        with pytest.raises(JournalError, match=re.escape(where)):
+            replay_journal(load_journal(path))
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
+    def test_malformed_checks_evaluate_false(self):
+        from repro.replay import evaluate_checks
+        checks = [5, {"check": ["guest-dead"]}, {"check": "guest-dead"}]
+        monitor = type("Monitor", (), {"guest_dead": True})()
+        assert evaluate_checks(checks, None, monitor) == {
+            "?": False, "['guest-dead']": False, "guest-dead": True}
+
+
+# ----------------------------------------------------------------------
 # JournalWriter: incremental, kill-safe spooling
 # ----------------------------------------------------------------------
 
-import os
 import signal
 import subprocess
 import sys
 
-from repro.replay.journal import JournalWriter, load_journal
+from repro.replay.journal import JournalWriter
 
 
 class TestJournalWriter:
