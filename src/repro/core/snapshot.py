@@ -97,7 +97,7 @@ def capture(machine, monitor=None, label: str = "") -> MachineSnapshot:
         idtr=(cpu.idtr_base, cpu.idtr_limit),
         tss_base=cpu.tss_base,
         halted=cpu.halted,
-        memory=machine.memory.read(0, machine.memory.size),
+        memory=bytes(machine.memory.view()),
         pic=[_PicChipState(chip.irr, chip.isr, chip.imr,
                            chip.vector_base)
              for chip in (machine.pic.master, machine.pic.slave)],

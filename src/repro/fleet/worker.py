@@ -150,7 +150,8 @@ class ExecSlices:
         self.recorder = FlightRecorder(
             self.machine, self.monitor, scenario="fleet-exec-cont",
             seed=self.params.get("seed"), checkpoint_every=1,
-            spool=resume.get("spool"), spool_fsync=spool_fsync)
+            spool=resume.get("spool"), spool_fsync=spool_fsync,
+            version=journal.version)
 
     # -- stepping ------------------------------------------------------------
 

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import struct
+from hashlib import sha256
+from itertools import compress
+from operator import ne
+from typing import Optional
 
 from repro.errors import MemoryError_
 
 #: Page granularity of the write-generation bookkeeping (matches the MMU).
 GEN_PAGE_SHIFT = 12
+GEN_PAGE_SIZE = 1 << GEN_PAGE_SHIFT
+#: sha256 of a page that was never written (all zero bytes).
+_ZERO_PAGE_HASH = sha256(bytes(GEN_PAGE_SIZE)).digest()
 
 
 class PhysicalMemory:
@@ -21,7 +28,8 @@ class PhysicalMemory:
     cache — snapshot the generation of the pages an entry depends on and
     treat a mismatch as "this code may have been overwritten", which
     makes self-modifying code and DMA into code pages correct without
-    interposing on the read path at all.
+    interposing on the read path at all.  :meth:`page_root` uses the
+    same counters to rehash only the pages written since its last call.
     """
 
     def __init__(self, size: int) -> None:
@@ -31,8 +39,17 @@ class PhysicalMemory:
         self._data = bytearray(size)
         #: Write-generation counter per physical page, bumped on any
         #: store that touches the page (CPU, DMA or monitor alike).
-        self.page_gens = [0] * ((size + (1 << GEN_PAGE_SHIFT) - 1)
-                                >> GEN_PAGE_SHIFT)
+        pages = (size + GEN_PAGE_SIZE - 1) >> GEN_PAGE_SHIFT
+        self.page_gens = [0] * pages
+        # page_root() cache: each page's sha256 as of ``_hashed_gens``.
+        # A page still at generation 0 was never written, so it starts
+        # out as the hash of its length in zero bytes.
+        self._page_hashes = [_ZERO_PAGE_HASH] * pages
+        tail = size & (GEN_PAGE_SIZE - 1)
+        if tail:
+            self._page_hashes[-1] = sha256(bytes(tail)).digest()
+        self._hashed_gens = list(self.page_gens)
+        self._root: Optional[bytes] = None
 
     def _check(self, addr: int, length: int) -> None:
         if addr < 0 or length < 0 or addr + length > self.size:
@@ -52,6 +69,31 @@ class PhysicalMemory:
     def page_generation(self, page: int) -> int:
         """Current write generation of physical page ``page``."""
         return self.page_gens[page]
+
+    def page_root(self) -> bytes:
+        """sha256 over the sha256 of every 4 KiB page, in address order.
+
+        The last page hashes its real length when ``size`` is not a page
+        multiple.  Only pages whose generation moved since the previous
+        call are rehashed, so the cost follows what was written, not
+        the installed RAM.
+        """
+        gens = self.page_gens
+        seen = self._hashed_gens
+        if gens != seen or self._root is None:
+            hashes = self._page_hashes
+            with memoryview(self._data) as view:
+                for page in compress(range(len(gens)), map(ne, gens, seen)):
+                    start = page << GEN_PAGE_SHIFT
+                    hashes[page] = sha256(
+                        view[start:start + GEN_PAGE_SIZE]).digest()
+            self._hashed_gens = list(gens)
+            self._root = sha256(b"".join(hashes)).digest()
+        return self._root
+
+    def view(self) -> memoryview:
+        """A read-only view of the whole image, without copying it."""
+        return memoryview(self._data).toreadonly()
 
     # -- bulk accessors ------------------------------------------------------
 

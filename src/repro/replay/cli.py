@@ -31,6 +31,7 @@ def _cmd_info(args) -> int:
     print(f"scenario:  {header.get('scenario') or '-'}")
     print(f"seed:      {header.get('seed')}")
     print(f"monitor:   {header.get('monitor')}")
+    print(f"version:   {journal.version}")
     print(f"frames:    {len(journal.frames)}")
     print(f"bytes:     {journal.size_bytes}")
     print(f"complete:  {journal.complete}")

@@ -7,6 +7,13 @@ string.  Unlike :func:`repro.core.snapshot.capture` it never refuses:
 digests are taken mid-flight (between host operations), so in-flight
 device state is part of what they attest.
 
+The memory image enters as one hash whose form follows the journal
+version the digest is for.  Version 2 uses
+:meth:`~repro.hw.mem.PhysicalMemory.page_root`, a hash over per-4 KiB
+page hashes that rehashes only the pages written since the previous
+digest, so a checkpoint costs what the guest touched.  Version 1 (still
+read and replayed) uses a flat sha256 of the whole image.
+
 Host-side link state needs care: the recorder's client drains the
 target-to-host queue, but a replayer has no client, so ``a_to_b``
 contents differ legitimately.  The digest therefore excludes ``a_to_b``
@@ -20,8 +27,16 @@ import hashlib
 import json
 from typing import Optional
 
+from repro.replay.journal import VERSION
 
-def _machine_state(machine, monitor=None) -> dict:
+
+def _memory_digest(memory, version: int) -> str:
+    if version == 1:
+        return hashlib.sha256(memory.view()).hexdigest()
+    return memory.page_root().hex()
+
+
+def _machine_state(machine, monitor, version: int) -> dict:
     cpu = machine.cpu
     state = {
         "regs": list(cpu.regs),
@@ -37,8 +52,7 @@ def _machine_state(machine, monitor=None) -> dict:
         "instret": cpu.instret,
         "cycle": cpu.cycle_count,
         "now": machine.queue.now,
-        "memory": hashlib.sha256(
-            machine.memory.read(0, machine.memory.size)).hexdigest(),
+        "memory": _memory_digest(machine.memory, version),
         "pic": machine.pic.state(),
         "pit": machine.pit.state(),
         "rtc": machine.rtc.state(),
@@ -84,15 +98,16 @@ def struct_key(lba: int) -> bytes:
     return lba.to_bytes(8, "little")
 
 
-def state_digest(machine, monitor=None,
-                 extra: Optional[dict] = None) -> str:
+def state_digest(machine, monitor=None, extra: Optional[dict] = None,
+                 version: int = VERSION) -> str:
     """One sha256 over the machine's architecturally visible state.
 
     ``extra`` lets the caller mix in stream evidence the machine no
     longer holds (the rolling target-to-host digest); it must be
-    JSON-serialisable and deterministic.
+    JSON-serialisable and deterministic.  ``version`` is the journal
+    version the digest is for; it picks the memory hash.
     """
-    state = _machine_state(machine, monitor)
+    state = _machine_state(machine, monitor, version)
     if extra:
         state["extra"] = extra
     encoded = json.dumps(state, sort_keys=True, separators=(",", ":"))

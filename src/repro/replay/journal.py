@@ -7,7 +7,12 @@ A journal is a flat sequence of frames::
 
 where ``payload`` is canonical JSON (sorted keys, compact separators,
 UTF-8) and ``digest`` is the first 8 bytes of
-``sha256(magic | version | type | payload)``.  Every frame is
+``sha256(magic | version | type | payload)``.  The container is the
+same in every version; the version says how the ``checkpoint`` and
+``end`` state digests hash guest memory (see
+:mod:`repro.replay.digest`).  New journals are written as
+:data:`VERSION`; every version in :data:`READ_VERSIONS` still loads, and
+replays under its own digest rules.  Every frame is
 self-checking, so a journal whose tail was lost to a crash (the writer
 died mid-frame) loads cleanly up to the last intact frame instead of
 raising; the loader marks such journals ``truncated``.
@@ -38,7 +43,10 @@ from repro.hw.machine import MachineConfig
 from hashlib import sha256
 
 MAGIC = b"LVMMJRNL"
-VERSION = 1
+#: Version written by new recordings.  Version 2 hashes guest memory as
+#: a root over per-page hashes; version 1 as one flat sha256.
+VERSION = 2
+READ_VERSIONS = (1, 2)
 DIGEST_LEN = 8
 _HEAD = struct.Struct("<IB")  # payload_len, frame type
 
@@ -53,6 +61,9 @@ _TYPE_NAMES = {FRAME_HEADER: "header", FRAME_EVENT: "event",
 #: Maximum accepted payload size — a corrupted length prefix must not
 #: make the loader try to slurp gigabytes.
 MAX_PAYLOAD = 16 * 1024 * 1024
+#: Largest guest RAM a journal header may ask for (256 MiB): a replay
+#: allocates it, so a hostile header must not size it.
+MAX_MEMORY_SIZE = 256 * 1024 * 1024
 
 
 def _canonical(data: dict) -> bytes:
@@ -60,9 +71,9 @@ def _canonical(data: dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def _frame_digest(frame_type: int, payload: bytes) -> bytes:
+def _frame_digest(version: int, frame_type: int, payload: bytes) -> bytes:
     hasher = sha256(MAGIC)
-    hasher.update(struct.pack("<HB", VERSION, frame_type))
+    hasher.update(struct.pack("<HB", version, frame_type))
     hasher.update(payload)
     return hasher.digest()[:DIGEST_LEN]
 
@@ -79,14 +90,14 @@ class Frame:
         """The payload's event kind, or the structural type name."""
         return self.data.get("kind", _TYPE_NAMES.get(self.type, "?"))
 
-    def encode(self) -> bytes:
+    def encode(self, version: int = VERSION) -> bytes:
         payload = _canonical(self.data)
         if len(payload) > MAX_PAYLOAD:
             raise JournalError(
                 f"frame payload of {len(payload)} bytes exceeds "
                 f"the {MAX_PAYLOAD}-byte frame limit")
         return (_HEAD.pack(len(payload), self.type) + payload
-                + _frame_digest(self.type, payload))
+                + _frame_digest(version, self.type, payload))
 
 
 @dataclass
@@ -97,6 +108,8 @@ class Journal:
     frames: List[Frame] = field(default_factory=list)
     #: True when the loader had to discard a damaged tail.
     truncated: bool = False
+    #: Format version: frames are hashed, and digests computed, by it.
+    version: int = VERSION
 
     @property
     def complete(self) -> bool:
@@ -115,10 +128,10 @@ class Journal:
 
     def to_bytes(self) -> bytes:
         out = bytearray(MAGIC)
-        out += struct.pack("<H", VERSION)
-        out += Frame(FRAME_HEADER, self.header).encode()
+        out += struct.pack("<H", self.version)
+        out += Frame(FRAME_HEADER, self.header).encode(self.version)
         for frame in self.frames:
-            out += frame.encode()
+            out += frame.encode(self.version)
         return bytes(out)
 
     @property
@@ -138,7 +151,7 @@ def loads_journal(data: bytes, strict: bool = False) -> Journal:
     if len(data) < prefix or data[:len(MAGIC)] != MAGIC:
         raise JournalError("not a journal: bad magic")
     (version,) = struct.unpack_from("<H", data, len(MAGIC))
-    if version != VERSION:
+    if version not in READ_VERSIONS:
         raise JournalError(f"unsupported journal version {version}")
 
     frames: List[Frame] = []
@@ -146,7 +159,7 @@ def loads_journal(data: bytes, strict: bool = False) -> Journal:
     offset = prefix
     while offset < len(data):
         try:
-            frame, offset = _decode_frame(data, offset)
+            frame, offset = _decode_frame(data, offset, version)
         except JournalError:
             if strict:
                 raise
@@ -158,10 +171,10 @@ def loads_journal(data: bytes, strict: bool = False) -> Journal:
         raise JournalError("journal has no intact header frame")
     header_frame = frames.pop(0)
     return Journal(header=header_frame.data, frames=frames,
-                   truncated=truncated)
+                   truncated=truncated, version=version)
 
 
-def _decode_frame(data: bytes, offset: int):
+def _decode_frame(data: bytes, offset: int, version: int):
     if offset + _HEAD.size > len(data):
         raise JournalError("truncated frame header")
     payload_len, frame_type = _HEAD.unpack_from(data, offset)
@@ -175,7 +188,7 @@ def _decode_frame(data: bytes, offset: int):
         raise JournalError("truncated frame body")
     payload = data[start:start + payload_len]
     digest = data[start + payload_len:end]
-    if digest != _frame_digest(frame_type, payload):
+    if digest != _frame_digest(version, frame_type, payload):
         raise JournalError("frame digest mismatch")
     try:
         decoded = json.loads(payload.decode("utf-8"))
@@ -205,15 +218,17 @@ class JournalWriter:
     torn tail at all.
     """
 
-    def __init__(self, path, header: Dict, fsync: bool = True) -> None:
+    def __init__(self, path, header: Dict, fsync: bool = True,
+                 version: int = VERSION) -> None:
         self.path = str(path)
         self.fsync = fsync
+        self.version = version
         self.frames_written = 0
         self.bytes_written = 0
         self._closed = False
         self._handle = open(self.path, "wb")
-        self._write(MAGIC + struct.pack("<H", VERSION)
-                    + Frame(FRAME_HEADER, header).encode())
+        self._write(MAGIC + struct.pack("<H", version)
+                    + Frame(FRAME_HEADER, header).encode(version))
 
     def _write(self, blob: bytes) -> None:
         self._handle.write(blob)
@@ -227,7 +242,7 @@ class JournalWriter:
         if self._closed:
             raise JournalError(
                 f"journal writer for {self.path!r} is closed")
-        self._write(frame.encode())
+        self._write(frame.encode(self.version))
         self.frames_written += 1
 
     @property
@@ -306,6 +321,10 @@ def machine_config(header: Dict) -> MachineConfig:
         raise JournalError(f"journal header config: bad 'disks' field "
                            f"{disks!r:.40}")
     values["disks"] = [tuple(disk) for disk in disks]
+    size = values["memory_size"]
+    if not 0 < size <= MAX_MEMORY_SIZE:
+        raise JournalError(f"journal header config: bad 'memory_size' field "
+                           f"{size} (not in 1..{MAX_MEMORY_SIZE})")
     return MachineConfig(**values)
 
 

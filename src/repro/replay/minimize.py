@@ -70,7 +70,8 @@ def _build_variant(journal: Journal, core: List[Frame],
                    end_data: Dict) -> Journal:
     frames = list(core)
     frames.append(Frame(FRAME_END, dict(end_data)))
-    return Journal(header=dict(journal.header), frames=frames)
+    return Journal(header=dict(journal.header), frames=frames,
+                   version=journal.version)
 
 
 def minimize_journal(journal: Journal,

@@ -25,8 +25,9 @@ boundary:
 * one **end frame**: final digest, the scenario's invariant verdict,
   and re-evaluable failure checks for the minimizer.
 
-Overhead is counters plus one sha256 update per target byte; state
-digests cost a full-memory hash but only at checkpoint cadence (see
+Overhead is counters plus one sha256 update per target byte; a state
+digest rehashes only the memory pages written since the previous one
+(version 2 journals; see :mod:`repro.replay.digest` and
 ``benchmarks/bench_replay_overhead.py``).
 """
 
@@ -39,7 +40,7 @@ from repro.errors import MonitorError
 from repro.obs.taps import TapPoint
 from repro.replay.digest import state_digest
 from repro.replay.journal import (FRAME_CHECKPOINT, FRAME_END, FRAME_EVENT,
-                                  Frame, Journal, header_config)
+                                  VERSION, Frame, Journal, header_config)
 
 #: Frame kinds that are replayed verbatim (the actual nondeterminism).
 INPUT_KINDS = ("uart-rx", "wild-write", "spurious-irq")
@@ -54,12 +55,15 @@ class FlightRecorder:
 
     Construct it *before* booting the guest so boot-time device
     scheduling is part of the record; the replayer mirrors that order.
+    ``version`` is the journal format to write; only a replay (which
+    must regenerate an older journal's digests) passes anything but
+    the current :data:`~repro.replay.journal.VERSION`.
     """
 
     def __init__(self, machine, monitor, program=None, plan=None,
                  scenario: str = "", seed: Optional[int] = None,
                  checkpoint_every: int = 4, spool=None,
-                 spool_fsync: bool = True) -> None:
+                 spool_fsync: bool = True, version: int = VERSION) -> None:
         if not hasattr(monitor, "record_taps"):
             raise MonitorError(
                 "flight recording needs a monitor with record_taps "
@@ -71,6 +75,7 @@ class FlightRecorder:
         self.monitor = monitor
         self.plan = plan
         self.checkpoint_every = checkpoint_every
+        self.version = version
         self.header: Dict = {
             "scenario": scenario,
             "seed": seed,
@@ -90,7 +95,7 @@ class FlightRecorder:
         if spool is not None:
             from repro.replay.journal import JournalWriter
             self.writer = JournalWriter(spool, dict(self.header),
-                                        fsync=spool_fsync)
+                                        fsync=spool_fsync, version=version)
         self.frames: List[Frame] = []
         self.finished = False
         self._rx_buffer = bytearray()
@@ -145,7 +150,7 @@ class FlightRecorder:
         if frame.data.get("kind") != "uart-rx":
             self._flush_rx()
         self.frames.append(frame)
-        self._journal_bytes += len(frame.encode())
+        self._journal_bytes += len(frame.encode(self.version))
         if self.writer is not None:
             self.writer.append(frame)
         if self.frame_taps:
@@ -252,7 +257,8 @@ class FlightRecorder:
         """Append a whole-machine digest frame; returns the digest."""
         self._flush_rx()
         digest = state_digest(self.machine, self.monitor,
-                              extra={"t2h": self._t2h_evidence()})
+                              extra={"t2h": self._t2h_evidence()},
+                              version=self.version)
         data = {"kind": "checkpoint", "digest": digest}
         data.update(self._micro())
         self.counters["checkpoints"] += 1
@@ -276,7 +282,8 @@ class FlightRecorder:
             if self.monitor.guest_dead:
                 checks.append({"check": "guest-dead"})
         digest = state_digest(self.machine, self.monitor,
-                              extra={"t2h": self._t2h_evidence()})
+                              extra={"t2h": self._t2h_evidence()},
+                              version=self.version)
         data = {"kind": "end", "violations": list(violations or []),
                 "checks": checks, "digest": digest}
         data.update(self._micro())
@@ -286,7 +293,8 @@ class FlightRecorder:
             self.writer.close()
         self.detach()
         self.journal = Journal(header=dict(self.header),
-                               frames=list(self.frames))
+                               frames=list(self.frames),
+                               version=self.version)
         return self.journal
 
     # -- accounting ----------------------------------------------------------

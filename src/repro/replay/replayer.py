@@ -163,10 +163,11 @@ class Replayer:
         self.machine = Machine(machine_config(header))
         self.monitor = LightweightVmm(self.machine)
         self.monitor.install()
-        # Re-record the run; checkpoints are taken only where the
-        # journal has one to verify.
+        # Re-record the run in the journal's own format; checkpoints
+        # are taken only where the journal has one to verify.
         self.recorder = FlightRecorder(self.machine, self.monitor,
-                                       checkpoint_every=0)
+                                       checkpoint_every=0,
+                                       version=self.journal.version)
         self.recorder.frame_taps.subscribe(self._on_frame)
         # Mirror DebugSession.load_and_boot: image, boot, attach stopped.
         self.machine.memory.write(origin, image)

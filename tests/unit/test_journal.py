@@ -14,6 +14,8 @@ from repro.replay.journal import (
     FRAME_HEADER,
     HEADER_CONFIG,
     MAGIC,
+    READ_VERSIONS,
+    VERSION,
     Frame,
     Journal,
     header_config,
@@ -69,6 +71,22 @@ class TestRoundTrip:
 
     def test_encoding_is_deterministic(self):
         assert _journal().to_bytes() == _journal().to_bytes()
+
+    @pytest.mark.parametrize("version", READ_VERSIONS)
+    def test_every_read_version_round_trips(self, version):
+        journal = _journal()
+        journal.version = version
+        blob = journal.to_bytes()
+        loaded = loads_journal(blob, strict=True)
+        assert loaded.version == version
+        assert loaded.to_bytes() == blob
+
+    def test_frames_are_hashed_under_the_file_version(self):
+        blob = bytearray(_journal().to_bytes())
+        assert blob[len(MAGIC)] == VERSION
+        blob[len(MAGIC)] = 1
+        with pytest.raises(JournalError, match="frame digest mismatch"):
+            loads_journal(bytes(blob), strict=True)
 
 
 class TestDurability:
@@ -199,6 +217,12 @@ def _spurious_irq_line_out_of_range(journal):
     _golden_frame(journal, "spurious-irq").data["line"] = -1
 
 
+def _memory_size(size):
+    def edit(journal):
+        journal.header["config"]["memory_size"] = size
+    return edit
+
+
 class TestMalformedContents:
     """Valid framing, bad contents: replay raises JournalError naming
     where, and ``repro-replay verify`` exits 2 with ``error:``."""
@@ -211,9 +235,13 @@ class TestMalformedContents:
         (_non_hex_uart_rx, "frame 0 (uart-rx): bad 'data'"),
         (_spurious_irq_line_out_of_range,
          "frame 54 (spurious-irq): no IRQ line -1"),
+        (_memory_size(1 << 40), "journal header config: bad 'memory_size'"),
+        (_memory_size(0), "journal header config: bad 'memory_size'"),
+        (_memory_size(-4096), "journal header config: bad 'memory_size'"),
     ], ids=["config-no-cpu-hz", "guest-image-not-hex", "run-no-max",
             "wild-write-addr-string", "uart-rx-not-hex",
-            "spurious-irq-line-out-of-range"])
+            "spurious-irq-line-out-of-range", "memory-size-1TiB",
+            "memory-size-zero", "memory-size-negative"])
     def test_rejected_with_journal_error(self, edit, where, tmp_path,
                                          capsys):
         from repro.replay import replay_journal
@@ -257,6 +285,17 @@ class TestJournalWriter:
         assert path.read_bytes() == journal.to_bytes()
         assert writer.frames_written == len(journal.frames)
         assert writer.bytes_written == len(journal.to_bytes())
+
+    def test_spool_writes_the_requested_version(self, tmp_path):
+        journal = _journal()
+        journal.version = 1
+        path = tmp_path / "v1.journal"
+        writer = JournalWriter(path, journal.header, version=1)
+        for frame in journal.frames:
+            writer.append(frame)
+        writer.close()
+        assert path.read_bytes() == journal.to_bytes()
+        assert load_journal(path).version == 1
 
     def test_close_is_idempotent_and_seals_appends(self, tmp_path):
         writer = JournalWriter(tmp_path / "x.journal", {"scenario": "t"})
