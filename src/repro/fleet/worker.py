@@ -77,8 +77,9 @@ class ExecSlices:
     checkpointing every slice.  Resumed: rebuild from the journals,
     then continue the remaining slices under a continuation recorder.
     ``think_ms`` sleeps between slices model interactive client think
-    time (and release the GIL, which is what the fleet scaling bench
-    measures).
+    time; a sleeping worker leaves the host CPU to the others, so paced
+    jobs overlap across workers (``tests/integration/test_fleet.py``
+    checks it).
     """
 
     def __init__(self, params: Dict, spool: Optional[str] = None,

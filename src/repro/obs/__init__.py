@@ -29,7 +29,7 @@ other subsystem:
 Everything here is zero-cost when disabled: hooks are guarded tap
 points that cost one truthiness check at the observation site, and the
 only per-instruction cost the profiler adds to the monitor run loop is
-a single integer compare (see ``benchmarks/bench_obs_overhead.py``).
+a single integer compare (gated in ``benchmarks/bench_host_budgets.py``).
 """
 
 from repro.obs.bus import SpanHandle, TraceBus, TraceRecord

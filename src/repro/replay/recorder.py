@@ -27,8 +27,8 @@ boundary:
 
 Overhead is counters plus one sha256 update per target byte; a state
 digest rehashes only the memory pages written since the previous one
-(version 2 journals; see :mod:`repro.replay.digest` and
-``benchmarks/bench_replay_overhead.py``).
+(version 2 journals; see :mod:`repro.replay.digest`).  Both costs are
+gated in ``benchmarks/bench_host_budgets.py``.
 """
 
 from __future__ import annotations

@@ -103,6 +103,49 @@ class TestFleetJobs:
         assert record.result["instret"] == reference["instret"]
         assert not record.result["resumed"]
 
+    @pytest.mark.parametrize("workers, speedup", [(2, 1.5), (4, 3.0)])
+    def test_think_time_overlaps_across_workers(self, make_fleet, workers,
+                                                speedup):
+        """N paced exec-slices jobs on an N-worker fleet run at once:
+        each lands on its own worker, at some poll all N slots hold a
+        job, and the batch beats the serial think-time floor by
+        ``speedup``."""
+        fleet = make_fleet(workers=workers)
+        # Think time dominates a job, so the bound reads dispatch
+        # concurrency, not host speed.
+        params = {"slices": 8, "slice_insns": 300, "think_ms": 300,
+                  "record": False}
+        serial_think_s = workers * params["slices"] \
+            * params["think_ms"] / 1000.0
+        # A worker's first job pays its lazy imports (~0.2 s of CPU
+        # each, and the workers share the host's cores): one unpaced
+        # job per worker pays them before the clock starts.
+        for _ in range(workers):
+            fleet.submit(Job(kind="exec-slices",
+                             params=dict(params, slices=1, think_ms=0),
+                             timeout_s=60.0))
+        assert poll_until(fleet, lambda: fleet.queue.idle, timeout=60.0)
+        start = time.monotonic()
+        records = [fleet.submit(Job(kind="exec-slices",
+                                    params=dict(params), timeout_s=60.0))
+                   for _ in range(workers)]
+        placed, most_busy = {}, 0
+        while not fleet.queue.idle and time.monotonic() < start + 60.0:
+            fleet.poll()
+            for record in records:
+                if record.worker is not None:
+                    placed[record.id] = record.worker
+            most_busy = max(most_busy, sum(slot.job is not None
+                                           for slot in fleet.slots))
+            # A coarse poll leaves the host's CPUs to the workers.
+            time.sleep(0.02)
+        elapsed = time.monotonic() - start
+        assert all(record.status == STATUS_DONE for record in records)
+        assert len(set(placed.values())) == workers, placed
+        assert most_busy == workers
+        assert elapsed <= serial_think_s / speedup, \
+            (elapsed, serial_think_s)
+
     def test_status_and_dashboard_reflect_the_fleet(self, make_fleet,
                                                     tmp_path):
         fleet = make_fleet(workers=2)

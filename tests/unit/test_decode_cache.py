@@ -11,9 +11,10 @@ from repro.hw.isa import BY_MNEMONIC, VEC_DB
 from repro.hw.paging import PageTableBuilder
 
 
-def make_cpu(decode_cache=True, memory_size=1 << 20):
+def make_cpu(decode_cache=True, memory_size=1 << 20, translate=None):
     memory = PhysicalMemory(memory_size)
-    cpu = Cpu(memory, IoBus(), decode_cache=decode_cache)
+    cpu = Cpu(memory, IoBus(), decode_cache=decode_cache,
+              translate=translate)
     firmware.install_flat_firmware(cpu)
     return cpu
 
@@ -35,16 +36,35 @@ loop:
 """
 
 
+TIGHT_LOOP = """
+    MOVI R0, 5000
+loop:
+    ADDI R1, 3
+    XORI R2, 0x55
+    SUBI R0, 1
+    JNZ  loop
+    HLT
+"""
+
+
 class TestHitPath:
     def test_hot_loop_mostly_hits(self):
-        cpu = make_cpu()
-        load(cpu, LOOP)
-        cpu.run(10_000)
-        assert cpu.halted and cpu.regs[1] == 50
-        stats = cpu.decode_cache_stats()
-        assert stats["hits"] > stats["misses"]
-        assert stats["misses"] <= 5  # one per distinct instruction
-        assert stats["hit_rate"] > 0.9
+        # (loop, run cap, R1 at HLT, translate, miss cap, hit-rate
+        # floor).  LOOP runs on the default CPU, superblocks and all;
+        # the long tight loop runs on the decode cache alone and must
+        # amortise its compulsory misses to near nothing.
+        for source, cap, total, translate, max_misses, floor in (
+                (LOOP, 10_000, 50, None, 5, 0.9),
+                (TIGHT_LOOP, 100_000, 15_000, False, 6, 0.999)):
+            cpu = make_cpu(translate=translate)
+            load(cpu, source)
+            cpu.run(cap)
+            assert cpu.halted and cpu.regs[1] == total
+            stats = cpu.decode_cache_stats()
+            assert stats["hits"] > stats["misses"]
+            # One per distinct instruction.
+            assert stats["misses"] <= max_misses
+            assert stats["hit_rate"] > floor
 
     def test_ablation_flag_disables_but_preserves_semantics(self):
         fast = make_cpu(decode_cache=True)

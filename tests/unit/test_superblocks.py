@@ -73,15 +73,30 @@ loop:
 """
 
 
+TIGHT_LOOP = """
+    MOVI R0, 5000
+loop:
+    ADDI R1, 3
+    XORI R2, 0x55
+    SUBI R0, 1
+    JNZ  loop
+    HLT
+"""
+
+
 class TestEquivalence:
     def test_hot_loop_matches_interpreter_exactly(self):
-        pair = run_pair(HOT_LOOP)
-        assert_architecturally_equal(*pair)
-        (fast, _), _ = pair
-        stats = fast.block_cache_stats()
-        assert stats["blocks_compiled"] >= 1
-        assert stats["insns_translated"] > 0
-        assert stats["hit_rate"] > 0.5
+        # (loop, hit-rate floor): a long tight loop must run almost
+        # entirely inside its block, which no guard ever rejects.
+        for source, floor in ((HOT_LOOP, 0.5), (TIGHT_LOOP, 0.99)):
+            pair = run_pair(source)
+            assert_architecturally_equal(*pair)
+            (fast, _), _ = pair
+            stats = fast.block_cache_stats()
+            assert stats["blocks_compiled"] >= 1
+            assert stats["insns_translated"] > 0
+            assert stats["hit_rate"] > floor
+            assert stats["guard_failures"] == 0
 
     def test_memory_loop_matches_interpreter_exactly(self):
         pair = run_pair(f"""
