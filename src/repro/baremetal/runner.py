@@ -16,7 +16,6 @@ from typing import Optional
 from repro.errors import TripleFault
 from repro.hw import firmware
 from repro.hw.machine import Machine
-from repro.hw.uart import LSR_DATA_READY, PORT_BASE_COM1, REG_DATA, REG_LSR
 from repro.rsp.stub import DebugStub
 from repro.rsp.target import CpuTargetAdapter
 
@@ -32,25 +31,16 @@ class EmbeddedStub:
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.adapter = CpuTargetAdapter(machine.cpu)
-        self.stub = DebugStub(self.adapter, send_bytes=self._send)
+        self.stub = DebugStub(self.adapter,
+                              send_bytes=machine.uart.transmit)
         self.polls = 0
-
-    def _send(self, data: bytes) -> None:
-        bus = self.machine.bus
-        for byte in data:
-            bus.raw_port_write(PORT_BASE_COM1 + REG_DATA, byte, 1)
 
     def poll(self) -> None:
         """Service pending debugger traffic (guest-cooperative)."""
         self.polls += 1
-        bus = self.machine.bus
-        received = bytearray()
-        while bus.raw_port_read(PORT_BASE_COM1 + REG_LSR, 1) \
-                & LSR_DATA_READY:
-            received.append(
-                bus.raw_port_read(PORT_BASE_COM1 + REG_DATA, 1))
+        received = self.machine.uart.drain(self.machine.bus)
         if received:
-            self.stub.feed(bytes(received))
+            self.stub.feed(received)
 
 
 class BareMetalRunner:

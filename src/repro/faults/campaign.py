@@ -49,13 +49,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.guest.os import HiTactix
 from repro.hw import firmware
 from repro.hw.machine import Machine, MachineConfig
-from repro.hw.uart import (
-    HostSerialPort,
-    LSR_DATA_READY,
-    PORT_BASE_COM1,
-    REG_DATA,
-    REG_LSR,
-)
+from repro.hw.uart import HostSerialPort
 from repro.perf.costmodel import DEFAULT_COST_MODEL
 from repro.obs.metrics import collect_fault
 from repro.replay import FlightRecorder, save_journal
@@ -92,7 +86,7 @@ class StubConsole:
     Perf-layer scenarios have no monitor; the stub attaches directly to
     the CPU and is serviced the way the monitor services it — raw port
     reads drain the UART RX FIFO into the stub, replies go out through
-    raw port writes.  This is the "is the debugger still reachable?"
+    the UART's transmit.  This is the "is the debugger still reachable?"
     probe after a fault window.
     """
 
@@ -100,7 +94,7 @@ class StubConsole:
                  rsp_faults: bool = False) -> None:
         self.machine = machine
         self.stub = DebugStub(CpuTargetAdapter(machine.cpu),
-                              self._uart_send)
+                              machine.uart.transmit)
         host = HostSerialPort(machine.serial_link)
         send, recv = host.send, host.recv
         self.injector: Optional[RspTransportInjector] = None
@@ -112,20 +106,10 @@ class StubConsole:
         if plan is not None:
             self.client.on_recovery = plan.recovery_recorder("rsp")
 
-    def _uart_send(self, data: bytes) -> None:
-        bus = self.machine.bus
-        for byte in data:
-            bus.raw_port_write(PORT_BASE_COM1 + REG_DATA, byte, 1)
-
     def _pump(self) -> None:
-        bus = self.machine.bus
-        received = bytearray()
-        while bus.raw_port_read(PORT_BASE_COM1 + REG_LSR, 1) \
-                & LSR_DATA_READY:
-            received.append(
-                bus.raw_port_read(PORT_BASE_COM1 + REG_DATA, 1))
+        received = self.machine.uart.drain(self.machine.bus)
         if received:
-            self.stub.feed(bytes(received))
+            self.stub.feed(received)
 
     def drain(self, pumps: int = 32) -> None:
         """Flush in-flight bytes and stale packets (post-fault resync)."""

@@ -168,6 +168,61 @@ class Uart16550(PortDevice):
         else:
             self._lower_irq()
 
+    def _emit(self, byte: int) -> None:
+        """Put one transmitted byte on the link (fault hook, then tap)."""
+        sent = self._link.filter_byte("t2h", byte)
+        if sent is not None:
+            self._link.a_to_b.append(sent)
+            if self._link.taps:
+                self._link.taps("t2h", sent)
+
+    # -- host-side stub interface ------------------------------------------
+
+    def transmit(self, data: bytes) -> None:
+        """Send ``data`` exactly as ``len(data)`` THR writes would.
+
+        A THR write's link kick and IRQ update only matter when one of
+        them can raise IRQ4; otherwise every per-byte update just lowers
+        the line.  So when DLAB is clear, IER_TX is clear and no RX
+        interrupt can become due, the bytes go out with one kick and one
+        IRQ update; the fault hook, the ``t2h`` tap and ``tx_count``
+        still see every byte.  In any other state each byte takes the
+        THR path, so every raise happens as before.
+        """
+        if not data:
+            return
+        link = self._link
+        if (self.lcr & LCR_DLAB or self.ier & IER_TX
+                or (self.ier & IER_RX and (self._rx or link.b_to_a))):
+            for byte in data:
+                self.port_write(REG_DATA, byte, 1)
+            return
+        if link.fault_hook is None and not link.taps:
+            link.a_to_b.extend(data)
+        else:
+            for byte in data:
+                self._emit(byte)
+        self.tx_count += len(data)
+        link._kick()
+        self._update_irq()
+
+    def drain(self, bus) -> bytes:
+        """Read every received byte through ``bus``: LSR, then RBR.
+
+        Each byte is read with the same port sequence a polling driver
+        uses, so the RBR reads' IRQ updates happen as the guest would
+        see them.  While LCR.DLAB is set, RBR reads the divisor latch
+        and pops nothing, so the loop would never end: nothing is read
+        and the bytes wait in the FIFO until DLAB clears.
+        """
+        if self.lcr & LCR_DLAB:
+            return b""
+        received = bytearray()
+        while bus.raw_port_read(PORT_BASE_COM1 + REG_LSR, 1) \
+                & LSR_DATA_READY:
+            received.append(bus.raw_port_read(PORT_BASE_COM1 + REG_DATA, 1))
+        return bytes(received)
+
     # -- port interface ------------------------------------------------------
 
     def port_read(self, offset: int, size: int) -> int:
@@ -214,11 +269,7 @@ class Uart16550(PortDevice):
             if self.lcr & LCR_DLAB:
                 self.divisor = (self.divisor & 0xFF00) | value
                 return
-            sent = self._link.filter_byte("t2h", value)
-            if sent is not None:
-                self._link.a_to_b.append(sent)
-                if self._link.taps:
-                    self._link.taps("t2h", sent)
+            self._emit(value)
             self.tx_count += 1
             self._link._kick()
             self._update_irq()
@@ -284,10 +335,12 @@ class HostSerialPort:
         self._link._kick()
 
     def recv(self, max_bytes: int = 4096) -> bytes:
-        out = bytearray()
-        while self._link.a_to_b and len(out) < max_bytes:
-            out.append(self._link.a_to_b.popleft())
-        return bytes(out)
+        queue = self._link.a_to_b
+        if len(queue) <= max_bytes:
+            out = bytes(queue)
+            queue.clear()
+            return out
+        return bytes(queue.popleft() for _ in range(max_bytes))
 
     def recv_available(self) -> int:
         return len(self._link.a_to_b)

@@ -66,13 +66,19 @@ class RspClient:
         self._max_pumps = max_pumps
         self.retry_policy = retry_policy or RetryPolicy()
         self._decoder = PacketDecoder()
-        self.acks_seen = 0
-        self.naks_seen = 0
         #: Recovery-action counters (collected by
         #: repro.obs.metrics.collect_fault).
         self.recoveries: Dict[str, int] = {}
         #: Optional observer called with each recovery action name.
         self.on_recovery: Optional[Callable[[str], None]] = None
+
+    @property
+    def acks_seen(self) -> int:
+        return self._decoder.acks
+
+    @property
+    def naks_seen(self) -> int:
+        return self._decoder.naks
 
     # -- plumbing ------------------------------------------------------------
 
@@ -85,9 +91,6 @@ class RspClient:
         data = self._recv()
         if data:
             self._decoder.feed(data)
-        self.acks_seen += sum(1 for ack in self._decoder.acks if ack)
-        self.naks_seen += sum(1 for ack in self._decoder.acks if not ack)
-        self._decoder.acks.clear()
 
     def exchange(self, payload: bytes,
                  retries: Optional[int] = None,

@@ -9,19 +9,20 @@ checksum with ``-``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import ProtocolError
 
 ESCAPE = 0x7D  # '}'
 RLE = 0x2A     # '*'
-PACKET_START = 0x24   # '$'
-PACKET_END = 0x23     # '#'
+PACKET_START = b"$"
+PACKET_END = b"#"
 ACK = b"+"
 NAK = b"-"
 
 #: Bytes that must be escaped inside a payload.
 _MUST_ESCAPE = frozenset({0x23, 0x24, 0x7D, 0x2A})
+_METACHARS = tuple(bytes((byte,)) for byte in _MUST_ESCAPE)
 
 
 def checksum(payload: bytes) -> int:
@@ -29,6 +30,8 @@ def checksum(payload: bytes) -> int:
 
 
 def escape(payload: bytes) -> bytes:
+    if not any(meta in payload for meta in _METACHARS):
+        return bytes(payload)
     out = bytearray()
     for byte in payload:
         if byte in _MUST_ESCAPE:
@@ -41,6 +44,8 @@ def escape(payload: bytes) -> bytes:
 
 def unescape_and_expand(payload: bytes) -> bytes:
     """Undo ``}`` escapes and ``*`` run-length encoding."""
+    if b"}" not in payload and b"*" not in payload:
+        return bytes(payload)
     out = bytearray()
     index = 0
     while index < len(payload):
@@ -76,52 +81,72 @@ class PacketDecoder:
 
     ``feed`` returns the bytes to send back immediately (``+``/``-``
     acknowledgements).  Completed payloads accumulate in
-    :attr:`packets`; ``^C`` interrupt bytes (0x03) arriving outside a
-    packet accumulate in :attr:`interrupts`.
+    :attr:`packets`; ``+``/``-`` bytes arriving outside a packet are
+    counted in :attr:`acks`/:attr:`naks` and ``^C`` interrupt bytes
+    (0x03) in :attr:`interrupts`.
+
+    A packet runs from ``$`` to two bytes past its first ``#``; bytes
+    between packets other than those three are line noise.  Both ends
+    are found by search, so a feed costs a few slice operations per
+    packet, not a step per byte.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._in_packet = False
         self.packets: List[bytes] = []
-        self.acks: List[bool] = []      # True for '+', False for '-'
+        self.acks = 0
+        self.naks = 0
         self.interrupts = 0
 
     def feed(self, data: bytes) -> bytes:
         replies = bytearray()
-        for byte in data:
+        buffer = self._buffer
+        pos, end = 0, len(data)
+        while pos < end:
             if not self._in_packet:
-                if byte == PACKET_START:
-                    self._in_packet = True
-                    self._buffer.clear()
-                elif byte == 0x03:
-                    self.interrupts += 1
-                elif byte == ACK[0]:
-                    self.acks.append(True)
-                elif byte == NAK[0]:
-                    self.acks.append(False)
-                # Anything else between packets is line noise: ignored.
+                start = data.find(PACKET_START, pos)
+                gap = data[pos:] if start < 0 else data[pos:start]
+                self.interrupts += gap.count(b"\x03")
+                self.acks += gap.count(ACK)
+                self.naks += gap.count(NAK)
+                if start < 0:
+                    break
+                self._in_packet = True
+                buffer.clear()
+                pos = start + 1
                 continue
-            self._buffer.append(byte)
-            if len(self._buffer) >= 3 and self._buffer[-3] == PACKET_END:
-                raw = bytes(self._buffer)  # excludes the leading '$'
-                self._in_packet = False
-                body = raw[:-3]
-                try:
-                    expected = int(raw[-2:].decode("ascii"), 16)
-                except ValueError:
-                    replies += NAK
-                    continue
-                if checksum(body) != expected:
-                    replies += NAK
-                    continue
-                try:
-                    self.packets.append(unescape_and_expand(body))
-                except ProtocolError:
-                    replies += NAK
-                    continue
-                replies += ACK
+            # An unfinished packet can hold a '#' only in its last two
+            # bytes (its checksum digits are still to come).
+            mark = buffer.find(PACKET_END, max(0, len(buffer) - 2))
+            if mark >= 0:
+                stop = pos + mark + 3 - len(buffer)
+            else:
+                mark = data.find(PACKET_END, pos)
+                stop = end + 1 if mark < 0 else mark + 3
+            if stop > end:
+                buffer += data[pos:]
+                break
+            buffer += data[pos:stop]
+            pos = stop
+            self._in_packet = False
+            replies += self._complete(bytes(buffer))
         return bytes(replies)
+
+    def _complete(self, raw: bytes) -> bytes:
+        """Check one packet (``raw`` excludes the leading ``$``)."""
+        body = raw[:-3]
+        try:
+            expected = int(raw[-2:].decode("ascii"), 16)
+        except ValueError:
+            return NAK
+        if checksum(body) != expected:
+            return NAK
+        try:
+            self.packets.append(unescape_and_expand(body))
+        except ProtocolError:
+            return NAK
+        return ACK
 
     def next_packet(self) -> Optional[bytes]:
         if self.packets:

@@ -50,13 +50,7 @@ from repro.hw.machine import Machine
 from repro.hw.pic import standard_setup
 from repro.hw.scsi import PORT_BASE_SCSI, PORT_SPAN
 from repro.hw.seg import DESCRIPTOR_SIZE, selector_index
-from repro.hw.uart import (
-    IRQ_COM1,
-    LSR_DATA_READY,
-    PORT_BASE_COM1,
-    REG_DATA,
-    REG_LSR,
-)
+from repro.hw.uart import IRQ_COM1, PORT_BASE_COM1
 from repro.obs.bus import CAT_TRAP, TraceBus
 from repro.obs.profiler import GuestProfiler
 from repro.obs.taps import TapPoint
@@ -801,22 +795,16 @@ class LightweightVmm:
     # ------------------------------------------------------------------
 
     def _uart_send(self, data: bytes) -> None:
-        bus = self.machine.bus
-        for byte in data:
-            bus.raw_port_write(PORT_BASE_COM1 + REG_DATA, byte, 1)
+        self.machine.uart.transmit(data)
         self.stats.uart_bytes_out += len(data)
 
     def service_debugger(self) -> None:
         """Drain debugger bytes from the UART into the stub."""
-        bus = self.machine.bus
-        received = bytearray()
-        while bus.raw_port_read(PORT_BASE_COM1 + REG_LSR, 1) \
-                & LSR_DATA_READY:
-            received.append(bus.raw_port_read(PORT_BASE_COM1 + REG_DATA, 1))
+        received = self.machine.uart.drain(self.machine.bus)
         if received:
             self.stats.uart_bytes_in += len(received)
             was_running = self.stub.running
-            self.stub.feed(bytes(received))
+            self.stub.feed(received)
             if was_running and not self.stub.running:
                 # ^C from the debugger interrupted the guest.
                 self.stopped = True

@@ -1,8 +1,14 @@
 """Unit tests for the 8254 PIT and 16550 UART models."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import DeviceError
+from repro.hw.machine import Machine
 from repro.hw.pit import PIT_HZ, Pit8254
 from repro.hw.uart import (
     FIFO_DEPTH,
@@ -15,6 +21,7 @@ from repro.hw.uart import (
     LSR_DATA_READY,
     LSR_OVERRUN,
     LSR_THR_EMPTY,
+    PORT_BASE_COM1,
     REG_DATA,
     REG_IER,
     REG_IIR_FCR,
@@ -183,3 +190,67 @@ class TestUart:
         host.send(b"zz")
         assert uart.tx_count == 1
         assert uart.rx_count == 2
+
+
+#: Serve one ``g`` packet while the guest holds LCR.DLAB, then again
+#: after it clears DLAB; prints the host's view after each service.
+_DLAB_SCRIPT = """
+import sys
+from repro.hw.machine import Machine
+from repro.hw.uart import (HostSerialPort, LCR_DLAB, PORT_BASE_COM1,
+                           REG_LCR)
+from repro.rsp.packets import frame
+
+machine = Machine()
+kind = sys.argv[1]
+if kind == "bare":
+    from repro.baremetal import EmbeddedStub
+    service = EmbeddedStub(machine).poll
+elif kind == "lvmm":
+    from repro.vmm import LightweightVmm
+    vmm = LightweightVmm(machine)
+    vmm.install()
+    service = vmm.service_debugger
+else:
+    from repro.faults.campaign import StubConsole
+    service = StubConsole(machine)._pump
+host = HostSerialPort(machine.serial_link)
+machine.bus.raw_port_write(PORT_BASE_COM1 + REG_LCR, LCR_DLAB, 1)
+host.send(frame(b"g"))
+service()
+print(repr(host.recv()))
+machine.bus.raw_port_write(PORT_BASE_COM1 + REG_LCR, 0x03, 1)
+service()
+print(repr(host.recv()[:2]))
+"""
+
+
+class TestDrain:
+    @pytest.mark.parametrize("kind", ["bare", "lvmm", "campaign"])
+    def test_drain_waits_while_dlab_is_set(self, kind):
+        """With DLAB set an RBR read returns the divisor latch and pops
+        nothing, so a drain that kept reading would never return.  Run
+        in a child so a hang fails this test instead of the suite."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _DLAB_SCRIPT, kind], env=env,
+            capture_output=True, text=True, timeout=60, check=True)
+        # Nothing is answered under DLAB; the packet waits in the
+        # FIFO and is answered (ACK, then the reply) once DLAB clears.
+        assert result.stdout.split() == ["b''", "b'+$'"]
+
+    def test_drain_reads_through_the_bus(self):
+        machine = Machine()
+        host = HostSerialPort(machine.serial_link)
+        host.send(bytes(range(FIFO_DEPTH + 8)))
+        reads = []
+        raw_read = machine.bus.raw_port_read
+        machine.bus.raw_port_read = lambda port, size=1: (
+            reads.append(port) or raw_read(port, size))
+        assert machine.uart.drain(machine.bus) == \
+            bytes(range(FIFO_DEPTH + 8))
+        # LSR then RBR per byte, and one final LSR.
+        assert reads == [PORT_BASE_COM1 + REG_LSR,
+                         PORT_BASE_COM1 + REG_DATA] * (FIFO_DEPTH + 8) \
+            + [PORT_BASE_COM1 + REG_LSR]

@@ -75,7 +75,7 @@ class TestPacketDecoder:
     def test_acks_recorded(self):
         decoder = PacketDecoder()
         decoder.feed(b"+-+")
-        assert decoder.acks == [True, False, True]
+        assert (decoder.acks, decoder.naks) == (2, 1)
 
     def test_multiple_packets_one_feed(self):
         decoder = PacketDecoder()
@@ -155,6 +155,17 @@ class StubHarness:
 
 
 class TestStubCommands:
+    def test_host_acks_leave_no_state_in_the_stub(self):
+        """The host's '+' after every reply is counted, not stored, so a
+        long session does not grow the stub's decoder."""
+        harness = StubHarness()
+        for _ in range(200):
+            harness.client.read_registers()
+        decoder = harness.stub._decoder
+        assert (decoder.acks, decoder.naks) == (200, 0)
+        assert not [name for name, value in vars(decoder).items()
+                    if isinstance(value, list) and value]
+
     def test_halt_reason(self):
         harness = StubHarness()
         assert harness.client.query_halt_reason() == 5  # SIGTRAP
