@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import DeviceError
 
@@ -42,11 +42,6 @@ class Disk:
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Back-compat shim: when set, the next request completes with
-        #: this sense key.  The HBA consumes it through the same fault
-        #: path as the scheduled injectors; new code should use
-        #: :class:`repro.faults.DiskInjector` instead.
-        self.inject_error: Optional[int] = None
 
     @property
     def capacity_bytes(self) -> int:
@@ -63,12 +58,12 @@ class Disk:
         self._check_range(lba, count)
         self.reads += 1
         self.bytes_read += count * BLOCK_SIZE
-        out = bytearray()
-        for block in range(lba, lba + count):
-            data = self._overlay.get(block)
-            out += data if data is not None else _pattern_block(self.seed,
-                                                                block)
-        return bytes(out)
+        overlay = self._overlay
+        seed = self.seed
+        return b"".join([
+            data if (data := overlay.get(block)) is not None
+            else _pattern_block(seed, block)
+            for block in range(lba, lba + count)])
 
     def write_blocks(self, lba: int, data: bytes) -> None:
         if len(data) % BLOCK_SIZE:

@@ -2,19 +2,41 @@
 
 from __future__ import annotations
 
+import mmap
 import struct
+import sys
 from hashlib import sha256
 from itertools import compress
 from operator import ne
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import MemoryError_
 
 #: Page granularity of the write-generation bookkeeping (matches the MMU).
 GEN_PAGE_SHIFT = 12
 GEN_PAGE_SIZE = 1 << GEN_PAGE_SHIFT
+_ZERO_PAGE = bytes(GEN_PAGE_SIZE)
 #: sha256 of a page that was never written (all zero bytes).
-_ZERO_PAGE_HASH = sha256(bytes(GEN_PAGE_SIZE)).digest()
+_ZERO_PAGE_HASH = sha256(_ZERO_PAGE).digest()
+
+#: Images of released memories, every written page zeroed again: the
+#: next memory of the same size takes one instead of mapping and
+#: faulting in fresh pages (see :meth:`PhysicalMemory.__del__`).
+_free_images: List[mmap.mmap] = []
+#: Released images kept at most.
+FREE_IMAGES = 2
+
+
+def _take_image(size: int) -> mmap.mmap:
+    try:
+        image = _free_images.pop()
+    except IndexError:
+        image = None
+    if image is not None and len(image) == size:
+        return image
+    # An image of another size is dropped: the pool follows the size
+    # that machines are being built with now.
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 class PhysicalMemory:
@@ -30,13 +52,22 @@ class PhysicalMemory:
     makes self-modifying code and DMA into code pages correct without
     interposing on the read path at all.  :meth:`page_root` uses the
     same counters to rehash only the pages written since its last call.
+
+    The image is a private anonymous mapping, not a ``bytearray``: the
+    kernel supplies zero pages on first touch, so a machine's resident
+    RAM follows what the guest, the monitor and DMA actually write.
+    ``MAP_PRIVATE`` is explicit because ``mmap`` defaults to
+    ``MAP_SHARED``, under which a forked child would write the parent's
+    guest RAM.  A released image is zeroed where it was written and
+    reused by the next memory of its size, so a process that builds a
+    machine per job maps and faults in its RAM once, not per machine.
     """
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise MemoryError_(f"memory size must be positive, got {size}")
         self.size = size
-        self._data = bytearray(size)
+        self._data = _take_image(size)
         #: Write-generation counter per physical page, bumped on any
         #: store that touches the page (CPU, DMA or monitor alike).
         pages = (size + GEN_PAGE_SIZE - 1) >> GEN_PAGE_SHIFT
@@ -50,6 +81,28 @@ class PhysicalMemory:
             self._page_hashes[-1] = sha256(bytes(tail)).digest()
         self._hashed_gens = list(self.page_gens)
         self._root: Optional[bytes] = None
+
+    def __del__(self) -> None:
+        data = self.__dict__.get("_data")
+        # Only this object may hold the image: a view that outlived the
+        # memory would otherwise see the next owner's bytes.  (The
+        # other two references are ``data`` and getrefcount's argument.)
+        if data is None or sys.getrefcount(data) > 3:
+            return
+        try:
+            if len(_free_images) >= FREE_IMAGES:
+                return
+            # A page still at generation 0 was never written and is
+            # still zero; every other page is zeroed again here.
+            size = self.size
+            for page in compress(range(len(self.page_gens)),
+                                 self.page_gens):
+                start = page << GEN_PAGE_SHIFT
+                end = min(start + GEN_PAGE_SIZE, size)
+                data[start:end] = _ZERO_PAGE[:end - start]
+            _free_images.append(data)
+        except (AttributeError, TypeError):
+            pass   # interpreter shutdown: module globals are gone
 
     def _check(self, addr: int, length: int) -> None:
         if addr < 0 or length < 0 or addr + length > self.size:
@@ -99,7 +152,7 @@ class PhysicalMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         self._check(addr, length)
-        return bytes(self._data[addr:addr + length])
+        return self._data[addr:addr + length]
 
     def write(self, addr: int, data: bytes) -> None:
         self._check(addr, len(data))

@@ -219,11 +219,6 @@ class ScsiHba(PortDevice):
     def _dispatch(self, request: _Request, disk: Disk) -> None:
         opcode = request.cdb[0]
         fault = self.fault_hook(request, disk) if self.fault_hook else None
-        if fault is None and disk.inject_error is not None:
-            # Back-compat shim: the legacy one-shot attribute is just a
-            # pre-planned medium error on the same fault path.
-            fault = ScsiFault(kind="medium", sense=disk.inject_error)
-            disk.inject_error = None
         if fault is not None:
             self.faults_injected += 1
             if fault.kind == "transport":

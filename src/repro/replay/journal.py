@@ -226,16 +226,26 @@ class JournalWriter:
         self.frames_written = 0
         self.bytes_written = 0
         self._closed = False
+        # SIGTERM arriving mid-``_write`` waits for the frame boundary:
+        # the handler must not re-enter the file object's flush.
+        self._writing = False
+        self._term_pending = False
         self._handle = open(self.path, "wb")
         self._write(MAGIC + struct.pack("<H", version)
                     + Frame(FRAME_HEADER, header).encode(version))
 
     def _write(self, blob: bytes) -> None:
-        self._handle.write(blob)
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        self.bytes_written += len(blob)
+        self._writing = True
+        try:
+            self._handle.write(blob)
+            self._handle.flush()
+            if self.fsync:
+                os.fsync(self._handle.fileno())
+            self.bytes_written += len(blob)
+        finally:
+            self._writing = False
+        if self._term_pending:
+            self._seal_and_exit()
 
     def append(self, frame: Frame) -> None:
         """Durably append one frame (flush + fsync at the boundary)."""
@@ -270,10 +280,19 @@ class JournalWriter:
         arbitrary interpreter state.
         """
         def _handler(_signum, _frame) -> None:
-            self.close()
-            os._exit(143)
+            # The handler can run inside the buffered flush of a frame
+            # (its write was interrupted); closing there would re-enter
+            # the file object, so finish the frame first.
+            if self._writing:
+                self._term_pending = True
+            else:
+                self._seal_and_exit()
 
         signal.signal(signal.SIGTERM, _handler)
+
+    def _seal_and_exit(self) -> None:
+        self.close()
+        os._exit(143)
 
 
 def typed_field(data: Dict, name: str, kind, where: str):

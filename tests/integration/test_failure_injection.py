@@ -86,21 +86,6 @@ class TestDiskErrorRecovery:
         assert guest.read_errors == 0
         assert guest.read_retries == 0
 
-    def test_legacy_inject_error_shim(self):
-        """``Disk.inject_error`` still works without a plan (one-shot)."""
-        machine = Machine(MachineConfig())
-        machine.program_pic_defaults()
-        stack = make_stack("lvmm", machine)
-        dispatcher = InterruptDispatcher(machine, stack)
-        guest = HiTactix(machine, stack, 100e6)
-        machine.disks[0].inject_error = 0x03
-        run_workload(machine, stack, guest, dispatcher, 0.4)
-        assert guest.read_errors == 1
-        assert guest.read_retries == 1
-        assert guest.segments_sent > 0
-        assert machine.hba.faults_injected == 1
-        assert machine.disks[0].inject_error is None  # consumed
-
 
 class TestNicRingExhaustion:
     def test_tiny_ring_forces_backpressure(self):

@@ -330,6 +330,52 @@ for index in range(100_000):
 """
 
 
+_MID_FLUSH_CHILD = """\
+import os
+import signal
+import sys
+sys.path[:0] = {sys_path!r}
+from repro.replay.journal import FRAME_EVENT, Frame, JournalWriter
+
+
+class Reentrant:
+    # Like io.BufferedWriter, a flush entered from inside a flush
+    # raises; once armed, SIGTERM lands in the middle of a flush.
+    def __init__(self, handle):
+        self.handle, self.busy, self.armed = handle, False, False
+
+    def write(self, blob):
+        return self.handle.write(blob)
+
+    def fileno(self):
+        return self.handle.fileno()
+
+    def close(self):
+        self.handle.close()
+
+    def flush(self):
+        if self.busy:
+            raise RuntimeError("reentrant call")
+        self.busy = True
+        try:
+            if self.armed:
+                self.armed = False
+                os.kill(os.getpid(), signal.SIGTERM)
+            self.handle.flush()
+        finally:
+            self.busy = False
+
+
+writer = JournalWriter({path!r}, {{"scenario": "kill-test"}})
+writer.install_sigterm_close()
+writer._handle = Reentrant(writer._handle)
+for index in range(4):
+    writer._handle.armed = index == 3
+    writer.append(Frame(FRAME_EVENT, {{"kind": "run", "executed": index}}))
+print("not terminated", flush=True)
+"""
+
+
 def _spawn_spooler(path, arm_sigterm=False):
     """Run a child that spools frames forever, wait until it has
     written at least 20 of them."""
@@ -372,6 +418,23 @@ class TestJournalWriterKillSafety:
         journal = load_journal(path, strict=False)
         assert not journal.truncated
         assert len(journal.frames) >= 20
+
+    def test_sigterm_inside_a_flush_waits_for_the_frame_boundary(
+            self, tmp_path):
+        """SIGTERM handled while the frame's own flush is running must
+        not re-enter the file object: the frame completes, then the
+        spool is sealed and the process exits 143."""
+        path = tmp_path / "mid-flush.journal"
+        code = _MID_FLUSH_CHILD.format(
+            sys_path=[entry for entry in sys.path if entry], path=str(path))
+        child = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, timeout=60)
+        assert child.returncode == 143, child.stderr.decode()
+        assert child.stdout == b""
+        journal = load_journal(path, strict=False)
+        assert not journal.truncated
+        assert [frame.data["executed"] for frame in journal.frames] \
+            == [0, 1, 2, 3]
 
     def test_every_sigkill_prefix_is_loadable(self, tmp_path):
         """Brute-force the crash window: whatever byte the writer died

@@ -1,5 +1,9 @@
 """Unit tests for physical memory, segmentation and paging."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import MemoryError_
@@ -55,6 +59,29 @@ class TestPhysicalMemory:
     def test_zero_size_rejected(self):
         with pytest.raises(MemoryError_):
             PhysicalMemory(0)
+
+    def test_untouched_ram_is_not_resident(self):
+        """Eight default 16 MiB machines held at once stay well under
+        64 MiB of peak RSS growth: only pages something writes become
+        resident (zeroing them up front costs at least 128 MiB)."""
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from repro.hw.machine import Machine, MachineConfig\n"
+            "Machine(MachineConfig())\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "held = [Machine(MachineConfig()) for _ in range(8)]\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(peak - base)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        growth = int(out.stdout.strip())
+        # ru_maxrss is KiB on Linux, bytes on macOS.
+        mib = growth / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        assert mib < 64, f"8 machines grew peak RSS by {mib:.1f} MiB"
 
 
 class TestSegmentDescriptor:

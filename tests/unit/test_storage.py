@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.errors import DeviceError
-from repro.hw.disk import BLOCK_SIZE, Disk
+from repro.hw.disk import BLOCK_SIZE, Disk, _pattern_block
 from repro.hw.mem import PhysicalMemory
 from repro.hw.scsi import (
     COMP_BAD_LBA,
@@ -17,6 +17,7 @@ from repro.hw.scsi import (
     REG_MAILBOX,
     REG_STATUS,
     CMD_START,
+    ScsiFault,
     ScsiHba,
     cdb_inquiry,
     cdb_read10,
@@ -47,6 +48,20 @@ class TestDisk:
         assert disk.read_blocks(3, 1) == payload
         # Neighbouring blocks untouched.
         assert disk.read_blocks(4, 1) != payload
+
+    def test_read_straddling_overlay_is_per_block_concatenation(self):
+        disk = Disk(100, seed=9)
+        disk.write_blocks(4, bytes(range(256)) * 4)
+        disk.write_blocks(7, b"\x5A" * BLOCK_SIZE)
+        reads, bytes_read = disk.reads, disk.bytes_read
+        overlay = {4: bytes(range(256)) * 2, 5: bytes(range(256)) * 2,
+                   7: b"\x5A" * BLOCK_SIZE}
+        expected = b"".join(
+            overlay[lba] if lba in overlay else _pattern_block(9, lba)
+            for lba in range(2, 10))
+        assert disk.read_blocks(2, 8) == expected
+        assert disk.reads == reads + 1
+        assert disk.bytes_read == bytes_read + 8 * BLOCK_SIZE
 
     def test_unaligned_write_rejected(self):
         disk = Disk(100)
@@ -159,7 +174,12 @@ class TestScsiHba:
 
     def test_error_injection_and_request_sense(self):
         fix = _HbaFixture()
-        fix.disk.inject_error = 0x03  # MEDIUM ERROR
+        pending = [ScsiFault(kind="medium", sense=0x03)]  # MEDIUM ERROR
+
+        def one_shot(request, disk):
+            return pending.pop() if pending else None
+
+        fix.hba.fault_hook = one_shot
         addr = fix.submit(0, cdb_read10(lba=0, count=1))
         fix.queue.run()
         assert fix.completion_code(addr) == COMP_CHECK_CONDITION
