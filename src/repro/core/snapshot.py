@@ -2,9 +2,11 @@
 
 A classic pain of OS debugging is that the bug destroys the state you
 needed to see.  Because this target is simulated, the debug session can
-checkpoint the *whole guest* (CPU, memory, PIC, monitor shadow state,
-disk write overlays) while it is stopped, let it run into the weeds,
-and wind it back.
+checkpoint the *whole guest* while it is stopped, let it run into the
+weeds, and wind it back.  :func:`machine_state` is the one list of what
+that covers (CPU, PIC, PIT, RTC, UART, SCSI adapter, NIC, monitor
+shadow state); a snapshot adds the memory image, the disk write
+overlays and both queues of the debug link.
 
 Scope: snapshots are taken at **quiescent stop points** — the guest is
 stopped and no device operation is in flight.  In-flight DMA or pending
@@ -16,52 +18,83 @@ checkpoint discipline of record/replay debuggers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import MonitorError
 from repro.hw.seg import SegmentDescriptor
 
+#: The ``machine_state`` keys :func:`restore` skips.
+CLOCK_KEYS = ("instret", "cycle", "now")
 
-@dataclass
-class _PicChipState:
-    irr: int
-    isr: int
-    imr: int
-    vector_base: int
+
+def machine_state(machine, monitor=None) -> dict:
+    """The one map of machine state: CPU, devices and monitor shadow.
+
+    Capture stores it, restore loads it back, and
+    :func:`repro.replay.digest.state_digest` hashes it.  It leaves out
+    the two terms each of them handles its own way: the memory image
+    and the disk overlays.  Timer devices store armed events as delays
+    relative to the queue clock, so the map reads the same before and
+    after a restore.
+    """
+    cpu = machine.cpu
+    state = {
+        "regs": list(cpu.regs),
+        "pc": cpu.pc,
+        "flags": cpu.flags,
+        "crs": list(cpu.crs),
+        "segments": [[cache.selector, cache.descriptor.pack().hex()]
+                     for cache in cpu.segments],
+        "gdtr": [cpu.gdt.base, cpu.gdt.limit],
+        "idtr": [cpu.idtr_base, cpu.idtr_limit],
+        "tss_base": cpu.tss_base,
+        "halted": cpu.halted,
+        "instret": cpu.instret,
+        "cycle": cpu.cycle_count,
+        "now": machine.queue.now,
+        "pic": machine.pic.state(),
+        "pit": machine.pit.state(),
+        "rtc": machine.rtc.state(),
+        "uart": machine.uart.state(),
+        "link_b_to_a": list(machine.serial_link.b_to_a),
+        "hba": machine.hba.state(),
+    }
+    if machine.nic is not None:
+        state["nic"] = machine.nic.state()
+    if monitor is not None:
+        shadow = monitor.shadow
+        state["monitor"] = {
+            "stopped": monitor.stopped,
+            "guest_dead": monitor.guest_dead,
+            "guest_dead_reason": monitor.guest_dead_reason,
+            "vif": shadow.vif,
+            "vif_before_reflect": shadow.vif_before_reflect,
+            "idtr": [shadow.idtr.base, shadow.idtr.limit],
+            "gdtr": [shadow.gdtr.base, shadow.gdtr.limit],
+            "tss_base": shadow.tss_base,
+            "cr0": shadow.cr0,
+            "cr3": shadow.cr3,
+            "halted": shadow.halted,
+            "vpic": shadow.virtual_pic.state(),
+        }
+    return state
 
 
 @dataclass
 class MachineSnapshot:
-    """Everything needed to put a stopped guest back exactly here."""
+    """Everything needed to put a stopped guest back exactly here.
+
+    ``serial`` holds both queues of the debug link; ``state`` keeps
+    only the host-to-target one (the digest leaves the other out on
+    purpose, see :mod:`repro.replay.digest`).
+    """
 
     label: str
-    cycle: int
-    # CPU
-    regs: List[int] = field(default_factory=list)
-    pc: int = 0
-    flags: int = 0
-    crs: List[int] = field(default_factory=list)
-    segments: List[Tuple[int, bytes]] = field(default_factory=list)
-    gdtr: Tuple[int, int] = (0, 0)
-    idtr: Tuple[int, int] = (0, 0)
-    tss_base: int = 0
-    halted: bool = False
-    # Memory + device state
-    memory: bytes = b""
-    pic: List[_PicChipState] = field(default_factory=list)
-    disk_overlays: List[Dict[int, bytes]] = field(default_factory=list)
-    # Timer/queue devices (None on snapshots from before these existed).
-    # Armed timers are stored as remaining delays relative to the queue
-    # clock: restore never rewinds simulated time, so ``restore`` re-arms
-    # them that far into the new future.
-    pit: Optional[dict] = None
-    rtc: Optional[dict] = None
-    uart: Optional[dict] = None
-    serial: Optional[dict] = None
-    nic: Optional[dict] = None
-    # Monitor shadow state (None when captured on bare metal)
-    shadow: Optional[dict] = None
+    state: dict
+    memory: bytes
+    disk_overlays: List[Dict[int, bytes]]
+    serial: dict
 
     @property
     def size_bytes(self) -> int:
@@ -83,96 +116,58 @@ def _quiesce_check(machine) -> None:
 def capture(machine, monitor=None, label: str = "") -> MachineSnapshot:
     """Snapshot a stopped guest."""
     _quiesce_check(machine)
-    cpu = machine.cpu
-    snapshot = MachineSnapshot(
-        label=label or f"cycle-{cpu.cycle_count}",
-        cycle=cpu.cycle_count,
-        regs=list(cpu.regs),
-        pc=cpu.pc,
-        flags=cpu.flags,
-        crs=list(cpu.crs),
-        segments=[(cache.selector, cache.descriptor.pack())
-                  for cache in cpu.segments],
-        gdtr=(cpu.gdt.base, cpu.gdt.limit),
-        idtr=(cpu.idtr_base, cpu.idtr_limit),
-        tss_base=cpu.tss_base,
-        halted=cpu.halted,
+    return MachineSnapshot(
+        label=label or f"cycle-{machine.cpu.cycle_count}",
+        state=machine_state(machine, monitor),
         memory=bytes(machine.memory.view()),
-        pic=[_PicChipState(chip.irr, chip.isr, chip.imr,
-                           chip.vector_base)
-             for chip in (machine.pic.master, machine.pic.slave)],
         disk_overlays=[dict(disk._overlay) for disk in machine.disks],
-        pit=machine.pit.state(),
-        rtc=machine.rtc.state(),
-        uart=machine.uart.state(),
         serial=machine.serial_link.state(),
-        nic=machine.nic.state() if machine.nic is not None else None,
     )
-    if monitor is not None:
-        shadow = monitor.shadow
-        snapshot.shadow = {
-            "vif": shadow.vif,
-            "vif_before_reflect": shadow.vif_before_reflect,
-            "idtr": (shadow.idtr.base, shadow.idtr.limit),
-            "gdtr": (shadow.gdtr.base, shadow.gdtr.limit),
-            "tss_base": shadow.tss_base,
-            "cr0": shadow.cr0,
-            "cr3": shadow.cr3,
-            "halted": shadow.halted,
-            "vpic": [(chip.irr, chip.isr, chip.imr, chip.vector_base)
-                     for chip in (shadow.virtual_pic.master,
-                                  shadow.virtual_pic.slave)],
-            "guest_dead": monitor.guest_dead,
-            "guest_dead_reason": monitor.guest_dead_reason,
-        }
-    return snapshot
 
 
 def restore(machine, snapshot: MachineSnapshot, monitor=None) -> None:
-    """Rewind a machine to a snapshot taken on it (or a twin of it)."""
+    """Rewind a machine to a snapshot taken on it (or a twin of it).
+
+    Every key of the snapshot's state is loaded back except
+    :data:`CLOCK_KEYS`: restore never rewinds simulated time.
+    """
     if len(snapshot.memory) != machine.memory.size:
         raise MonitorError(
             f"snapshot is for a {len(snapshot.memory):#x}-byte machine, "
             f"this one has {machine.memory.size:#x}")
+    state = snapshot.state
     cpu = machine.cpu
     machine.memory.write(0, snapshot.memory)
-    cpu.regs[:] = snapshot.regs
-    cpu.pc = snapshot.pc
-    cpu.flags = snapshot.flags
-    cpu.crs[:] = snapshot.crs
-    for index, (selector, raw) in enumerate(snapshot.segments):
+    cpu.regs[:] = state["regs"]
+    cpu.pc = state["pc"]
+    cpu.flags = state["flags"]
+    cpu.crs[:] = state["crs"]
+    for index, (selector, raw) in enumerate(state["segments"]):
         cpu.force_segment(index, selector,
-                          SegmentDescriptor.unpack(raw))
-    cpu.gdt.load(*snapshot.gdtr)
-    cpu.idtr_base, cpu.idtr_limit = snapshot.idtr
-    cpu.tss_base = snapshot.tss_base
-    cpu.halted = snapshot.halted
+                          SegmentDescriptor.unpack(bytes.fromhex(raw)))
+    cpu.gdt.load(*state["gdtr"])
+    cpu.idtr_base, cpu.idtr_limit = state["idtr"]
+    cpu.tss_base = state["tss_base"]
+    cpu.halted = state["halted"]
     cpu.mmu.set_cr3(cpu.crs[3])  # also flushes the TLB
 
     # Devices first (the UART's load_state recomputes its IRQ line),
     # then the PIC chips so the snapshot's latched request bits win.
-    if snapshot.serial is not None:
-        machine.serial_link.load_state(snapshot.serial)
-    if snapshot.uart is not None:
-        machine.uart.load_state(snapshot.uart)
-    if snapshot.pit is not None:
-        machine.pit.load_state(snapshot.pit)
-    if snapshot.rtc is not None:
-        machine.rtc.load_state(snapshot.rtc)
-    if snapshot.nic is not None and machine.nic is not None:
-        machine.nic.load_state(snapshot.nic)
-
-    for chip, state in zip((machine.pic.master, machine.pic.slave),
-                           snapshot.pic):
-        chip.irr, chip.isr = state.irr, state.isr
-        chip.imr, chip.vector_base = state.imr, state.vector_base
+    machine.serial_link.load_state(snapshot.serial)
+    machine.uart.load_state(state["uart"])
+    machine.pit.load_state(state["pit"])
+    machine.rtc.load_state(state["rtc"])
+    machine.hba.load_state(state["hba"])
+    if "nic" in state and machine.nic is not None:
+        machine.nic.load_state(state["nic"])
+    machine.pic.load_state(state["pic"])
 
     for disk, overlay in zip(machine.disks, snapshot.disk_overlays):
         disk._overlay = dict(overlay)
 
-    if monitor is not None and snapshot.shadow is not None:
+    if monitor is not None and "monitor" in state:
         shadow = monitor.shadow
-        data = snapshot.shadow
+        data = state["monitor"]
         shadow.vif = data["vif"]
         shadow.vif_before_reflect = data["vif_before_reflect"]
         shadow.idtr.base, shadow.idtr.limit = data["idtr"]
@@ -181,14 +176,10 @@ def restore(machine, snapshot: MachineSnapshot, monitor=None) -> None:
         shadow.cr0 = data["cr0"]
         shadow.cr3 = data["cr3"]
         shadow.halted = data["halted"]
-        for chip, state in zip((shadow.virtual_pic.master,
-                                shadow.virtual_pic.slave),
-                               data["vpic"]):
-            chip.irr, chip.isr, chip.imr, chip.vector_base = state
+        shadow.virtual_pic.load_state(data["vpic"])
+        monitor.stopped = data["stopped"]
         monitor.guest_dead = data["guest_dead"]
         monitor.guest_dead_reason = data["guest_dead_reason"]
-        # The guest is back from the dead at a stop point.
-        monitor.stopped = True
 
 
 class CheckpointStore:

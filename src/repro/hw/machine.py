@@ -151,25 +151,44 @@ class Machine:
         retired.
         """
         executed = 0
-        while executed < max_instructions:
-            if until is not None and until():
-                break
-            self.sync_events()
-            if self.cpu.halted and not self.pic.has_pending():
-                if not self.cpu.interrupts_enabled \
-                        and self.cpu.interrupt_hook is None:
-                    break  # HLT with IF=0 and no monitor: dead machine
-                next_time = self.queue.peek_time()
-                if next_time is None:
-                    break  # halted forever: nothing will wake us
-                # Fast-forward: HLT burns no budget while waiting.
-                self.cpu.cycle_count = next_time
-                continue
-            try:
-                self.cpu.step()
-            except CpuHalted:
-                break
-            executed += 1
+        cpu = self.cpu
+        # Superblock pacing as in ``LightweightVmm.run``: a block runs
+        # only while it cannot cross the instruction cap or the next
+        # device-event due time, and never under an ``until`` predicate
+        # (it inspects state between single instructions).
+        translate = cpu._sb_engine is not None and until is None
+        inf = float("inf")
+        try:
+            while executed < max_instructions:
+                if until is not None and until():
+                    break
+                self.sync_events()
+                if cpu.halted and not self.pic.has_pending():
+                    if not cpu.interrupts_enabled \
+                            and cpu.interrupt_hook is None:
+                        break  # HLT with IF=0 and no monitor: dead machine
+                    next_time = self.queue.peek_time()
+                    if next_time is None:
+                        break  # halted forever: nothing will wake us
+                    # Fast-forward: HLT burns no budget while waiting.
+                    cpu.cycle_count = next_time
+                    continue
+                if translate:
+                    cpu.block_instret_limit = \
+                        cpu.instret + (max_instructions - executed)
+                    next_time = self.queue.peek_time()
+                    cpu.block_cycle_limit = \
+                        inf if next_time is None else next_time
+                try:
+                    cpu.step()
+                except CpuHalted:
+                    break
+                executed += 1 + cpu.block_extra_steps
+                cpu.block_extra_steps = 0
+        finally:
+            cpu.block_instret_limit = 0
+            cpu.block_cycle_limit = 0
+            cpu.block_extra_steps = 0
         return executed
 
     # ------------------------------------------------------------------

@@ -214,7 +214,7 @@ class PicPair(PortDevice):
     def slave_port(self) -> PortDevice:
         return _PicPort(self.slave)
 
-    # -- snapshots for the monitor's shadow state ---------------------------------
+    # -- snapshot support ----------------------------------------------------------
 
     def state(self) -> dict:
         return {
@@ -225,6 +225,12 @@ class PicPair(PortDevice):
                       "imr": self.slave.imr,
                       "base": self.slave.vector_base},
         }
+
+    def load_state(self, state: dict) -> None:
+        for chip in (self.master, self.slave):
+            data = state[chip.name]
+            chip.irr, chip.isr = data["irr"], data["isr"]
+            chip.imr, chip.vector_base = data["imr"], data["base"]
 
 
 class _PicPort(PortDevice):

@@ -196,6 +196,27 @@ class ScsiHba(PortDevice):
             self._lower_irq()
         return addr
 
+    # -- snapshot support ----------------------------------------------------
+
+    def state(self) -> dict:
+        """Registers and completion queue.  The IRQ line is the PIC's
+        state; in-flight requests are not captured (their completion
+        events are closures), only counted."""
+        return {
+            "mailbox": self._mailbox,
+            "in_flight": self._in_flight,
+            "completions": list(self._completions),
+            "sense": {str(k): v for k, v in sorted(self._sense.items())},
+            "requests_started": self.requests_started,
+        }
+
+    def load_state(self, state: dict) -> None:
+        self._mailbox = state["mailbox"]
+        self._in_flight = state["in_flight"]
+        self._completions[:] = state["completions"]
+        self._sense = {int(k): v for k, v in state["sense"].items()}
+        self.requests_started = state["requests_started"]
+
     # -- request processing ------------------------------------------------------
 
     def _reset(self) -> None:

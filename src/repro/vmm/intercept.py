@@ -105,7 +105,6 @@ class LvmmIntercept(IoIntercept):
         if PIT_BASE <= port < PIT_BASE + 4:
             self.pit_accesses += 1
             self._charge(self._cost.pit_emulation_cycles)
-            self._shadow.pit_writes.append((port - PIT_BASE, value))
             # Forward: the guest's tick programming drives the real PIT
             # (the monitor multiplexes the same time base).
             self._bus.raw_port_write(port, value, size)

@@ -8,9 +8,7 @@ virtual copy of everything it refuses to hand over:
 * the virtual interrupt flag (the guest's CLI/STI trap into here);
 * a complete virtual 8259 pair — guest-owned device interrupts are
   latched here and the guest's mask/EOI programming lands here, while
-  the monitor keeps the *real* PIC for itself;
-* the guest's PIT programming (forwarded to the real PIT, recorded so
-  reads and the debugger see the guest's view).
+  the monitor keeps the *real* PIC for itself.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ class ShadowState:
     cr3: int = 0
     #: The guest's virtual interrupt controller.
     virtual_pic: PicPair = field(default_factory=PicPair)
-    #: Guest-programmed PIT divisor/mode bytes (recorded passthrough).
-    pit_writes: list = field(default_factory=list)
     #: Guest executed HLT (wake on next virtual interrupt).
     halted: bool = False
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import DebugSession
-from repro.core.snapshot import capture, restore
+from repro.baremetal import BareMetalRunner
+from repro.core.snapshot import CLOCK_KEYS, capture, machine_state, restore
 from repro.errors import MonitorError
 from repro.guest.asmkernel import (
     DATA_BASE,
@@ -15,6 +16,16 @@ from repro.guest.asmkernel import (
 )
 from repro.hw import firmware
 from repro.hw.machine import Machine
+from repro.hw.scsi import (
+    CMD_START,
+    IRQ_SCSI,
+    PORT_BASE_SCSI,
+    REG_COMMAND,
+    REG_INTSTAT,
+    REG_MAILBOX,
+    cdb_test_unit_ready,
+    encode_request_block,
+)
 
 
 @pytest.fixture
@@ -113,9 +124,7 @@ class TestCheckpointRestore:
 
     def test_snapshot_refuses_inflight_dma(self):
         machine = Machine()
-        from repro.hw.scsi import (CMD_START, PORT_BASE_SCSI,
-                                   REG_COMMAND, REG_MAILBOX,
-                                   cdb_read10, encode_request_block)
+        from repro.hw.scsi import cdb_read10
         block = encode_request_block(0, cdb_read10(0, 8), 0x8000,
                                      8 * 512)
         machine.memory.write(0x700, block)
@@ -146,3 +155,76 @@ class TestCheckpointRestore:
         assert disk.read_blocks(5, 1) != original
         sess.restore("clean")
         assert disk.read_blocks(5, 1) == original
+
+    def test_scsi_completion_rewound(self):
+        """A completion the guest has not yet taken survives a restore:
+        the adapter's queue, its registers and its IRQ line come back."""
+        machine = Machine()
+        machine.program_pic_defaults()
+        hba = machine.hba
+        machine.memory.write(0x700, encode_request_block(
+            0, cdb_test_unit_ready(), 0x8000, 0))
+        machine.bus.port_write(PORT_BASE_SCSI + REG_MAILBOX, 0x700, 4)
+        machine.bus.port_write(PORT_BASE_SCSI + REG_COMMAND, CMD_START, 4)
+        machine.queue.run_until(machine.queue.now + 10_000)
+        assert hba._completions == [0x700]
+        snapshot = capture(machine)
+        pic_at_capture = machine.pic.state()
+
+        assert hba.pop_completion() == 0x700
+        machine.bus.port_write(PORT_BASE_SCSI + REG_MAILBOX, 0x1234, 4)
+        assert not machine.pic.slave.irr & (1 << (IRQ_SCSI - 8))
+
+        restore(machine, snapshot)
+        assert hba._completions == [0x700]
+        assert machine.bus.port_read(PORT_BASE_SCSI + REG_MAILBOX, 4) \
+            == 0x700
+        assert machine.bus.port_read(PORT_BASE_SCSI + REG_INTSTAT, 4) == 1
+        assert machine.pic.slave.irr & (1 << (IRQ_SCSI - 8))
+        assert machine.pic.state() == pic_at_capture
+
+
+def without_clock(state: dict) -> dict:
+    """A ``machine_state`` map minus the keys restore leaves alone."""
+    return {key: value for key, value in state.items()
+            if key not in CLOCK_KEYS}
+
+
+class TestRoundTripOracle:
+    """Restore is the inverse of capture: after running on and winding
+    back, the machine reads exactly as captured, clock keys aside."""
+
+    @pytest.mark.parametrize("monitor", ["lvmm", "fullvmm"])
+    def test_monitored_round_trip(self, monitor):
+        sess = DebugSession(monitor=monitor)
+        kernel = build_kernel(KernelConfig(ticks_to_run=50))
+        sess.load_and_boot(kernel)
+        sess.attach()
+        isr = kernel.symbol("timer_isr")
+        sess.client.set_breakpoint(isr)
+        sess.client.cont()
+        sess.client.clear_breakpoint(isr)
+        snapshot = capture(sess.machine, sess.monitor)
+        captured = without_clock(snapshot.state)
+
+        assert sess.run_guest(5_000) == 5_000
+        assert without_clock(machine_state(sess.machine, sess.monitor)) \
+            != captured
+        restore(sess.machine, snapshot, sess.monitor)
+        assert without_clock(machine_state(sess.machine, sess.monitor)) \
+            == captured
+
+    def test_bare_metal_round_trip(self):
+        machine = Machine()
+        runner = BareMetalRunner(machine)
+        kernel = build_kernel(KernelConfig(ticks_to_run=1_000))
+        kernel.load_into(machine.memory)
+        runner.boot_guest(kernel.origin)
+        runner.run(500)
+        snapshot = capture(machine)
+        captured = without_clock(snapshot.state)
+
+        assert runner.run(5_000) == 5_000
+        assert without_clock(machine_state(machine)) != captured
+        restore(machine, snapshot)
+        assert without_clock(machine_state(machine)) == captured

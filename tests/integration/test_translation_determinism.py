@@ -12,10 +12,12 @@ import os
 import pytest
 
 from repro.asm import assemble
+from repro.baremetal import BareMetalRunner
 from repro.core.session import DebugSession
 from repro.faults.campaign import run_scenario
 from repro.hw import firmware
 from repro.hw.cpu import Cpu
+from repro.hw.machine import Machine
 from repro.obs.cli import main as trace_main
 from repro.obs.profiler import GuestProfiler
 
@@ -122,6 +124,90 @@ class TestMonitorRun:
         assert stats["enabled"]
         assert stats["blocks_compiled"] >= 1
         assert stats["insns_translated"] > 0
+
+
+#: A bare-metal guest: a hot ALU loop preempted by PIT ticks whose ISR
+#: counts in memory and prints one byte to the debug UART.
+BARE_TIMER_GUEST = f"""
+.org {firmware.GUEST_KERNEL_BASE}
+start:
+    MOVI R1, {firmware.IDT_BASE}
+    MOVI R0, timer_isr
+    ST   [R1+{32 * 8}], R0
+    MOVI R0, {firmware.IDX_CODE0 << 2}
+    ST16 [R1+{32 * 8 + 4}], R0
+    MOVI R0, 1
+    ST16 [R1+{32 * 8 + 6}], R0
+    MOVI R2, 0x20
+    MOVI R0, 0x11
+    OUTB R0, R2
+    MOVI R2, 0x21
+    MOVI R0, 32
+    OUTB R0, R2
+    MOVI R0, 0x04
+    OUTB R0, R2
+    MOVI R0, 0x01
+    OUTB R0, R2
+    MOVI R0, 0x00
+    OUTB R0, R2
+    MOVI R2, 0x43
+    MOVI R0, 0x34
+    OUTB R0, R2
+    MOVI R2, 0x40
+    MOVI R0, 3
+    OUTB R0, R2
+    MOVI R0, 0
+    OUTB R0, R2
+    STI
+{GUEST_LOOP}
+timer_isr:
+    PUSH R0
+    PUSH R2
+    MOVI R2, 0x5000
+    LD   R0, [R2+0]
+    ADDI R0, 1
+    ST   [R2+0], R0
+    MOVI R2, 0x3F8
+    MOVI R0, '*'
+    OUTB R0, R2
+    MOVI R2, 0x20
+    MOVI R0, 0x20
+    OUTB R0, R2
+    POP  R2
+    POP  R0
+    IRET
+"""
+
+
+def _bare_timer_run(instructions=30_000):
+    machine = Machine()
+    runner = BareMetalRunner(machine)
+    program = assemble(BARE_TIMER_GUEST)
+    program.load_into(machine.memory)
+    runner.boot_guest(program.origin)
+    executed = runner.run(instructions)
+    cpu = machine.cpu
+    return {
+        "executed": executed,
+        "regs": cpu.regs[:],
+        "pc": cpu.pc,
+        "flags": cpu.flags,
+        "instret": cpu.instret,
+        "cycles": cpu.cycle_count,
+        "memory": bytes(machine.memory.view()),
+        "console": bytes(machine.serial_link.a_to_b),
+    }, cpu.block_cache_stats()
+
+
+class TestMachineRun:
+    def test_bare_metal_timer_run_is_translation_invariant(
+            self, monkeypatch):
+        with_translation, stats = _bare_timer_run()
+        assert stats["insns_translated"] > 0
+        monkeypatch.setattr(Cpu, "TRANSLATE_DEFAULT", False)
+        without, _ = _bare_timer_run()
+        assert with_translation == without
+        assert with_translation["console"].count(b"*") >= 5
 
 
 class TestVerifyOnCompileDeterminism:

@@ -83,7 +83,7 @@ class TestMicroWorkloads:
 
 class TestSnapshotDeviceCompleteness:
     """Snapshots round-trip the full device complement (PIT, RTC,
-    UART + serial link, NIC) — not just CPU and memory."""
+    UART + serial link, SCSI adapter, NIC) — not just CPU and memory."""
 
     def _booted_session(self):
         session = DebugSession(monitor="lvmm")
@@ -91,25 +91,25 @@ class TestSnapshotDeviceCompleteness:
         session.attach()
         return session
 
-    def _device_states(self, machine):
-        states = {
-            "pit": machine.pit.state(),
-            "rtc": machine.rtc.state(),
-            "uart": machine.uart.state(),
-            "serial": machine.serial_link.state(),
-        }
-        if machine.nic is not None:
-            states["nic"] = machine.nic.state()
-        return states
+    def _restorable_state(self, session):
+        """What a restore brings back: ``machine_state`` without the
+        clock keys, plus both queues of the debug link."""
+        from repro.core.snapshot import CLOCK_KEYS, machine_state
+        state = machine_state(session.machine, session.monitor)
+        for key in CLOCK_KEYS:
+            del state[key]
+        state["serial"] = session.machine.serial_link.state()
+        return state
 
     def test_capture_records_device_state(self):
         from repro.core.snapshot import capture
         session = self._booted_session()
         session.run_guest(2_000)
         snap = capture(session.machine, session.monitor)
-        for field in ("pit", "rtc", "uart", "serial"):
-            assert getattr(snap, field) is not None, field
-        assert snap.pit["channels"][0]["reload"] \
+        for field in ("pit", "rtc", "uart", "hba"):
+            assert snap.state[field] is not None, field
+        assert snap.serial is not None
+        assert snap.state["pit"]["channels"][0]["reload"] \
             == session.machine.pit.state()["channels"][0]["reload"]
 
     def test_device_state_round_trips(self):
@@ -117,30 +117,25 @@ class TestSnapshotDeviceCompleteness:
         session = self._booted_session()
         session.run_guest(2_000)
         snap = capture(session.machine, session.monitor)
-        before = self._device_states(session.machine)
+        before = self._restorable_state(session)
         session.run_guest(5_000)          # perturb everything
-        assert self._device_states(session.machine) != before
+        assert self._restorable_state(session) != before
         restore(session.machine, snap, session.monitor)
-        assert self._device_states(session.machine) == before
+        assert self._restorable_state(session) == before
 
     def test_rerun_after_restore_is_deterministic(self):
         """With timers restored, re-execution takes the same path —
         the property record/replay checkpointing depends on.  Restore
-        never rewinds simulated time, so the comparison is over
-        clock-relative state (device state dicts store remaining
-        delays, not absolute due times)."""
+        never rewinds simulated time, so the comparison leaves out the
+        clock keys (device state dicts store remaining delays, not
+        absolute due times)."""
         import hashlib
         from repro.core.snapshot import capture, restore
 
         def relative_state(session):
-            cpu = session.machine.cpu
-            return {
-                "regs": list(cpu.regs), "pc": cpu.pc,
-                "flags": cpu.flags, "halted": cpu.halted,
-                "memory": hashlib.sha256(session.machine.memory.read(
-                    0, session.machine.memory.size)).hexdigest(),
-                "devices": self._device_states(session.machine),
-            }
+            memory = session.machine.memory
+            return (self._restorable_state(session),
+                    hashlib.sha256(memory.view()).hexdigest())
 
         session = self._booted_session()
         session.run_guest(2_000)
