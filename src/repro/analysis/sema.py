@@ -409,6 +409,13 @@ class Normalizer:
 
     Both expressions of a comparison must be simplified by the same
     ``Normalizer`` for the identity check to be meaningful.
+
+    One rule goes beyond :func:`simplify`: in ``(x | y) & c`` an
+    or-term ``y`` whose every possible bit is cleared by ``c`` is
+    dropped (bit bounds from :meth:`_bound`, leaves being 32-bit
+    register values).  A flag formula the translator drops because the
+    next one overwrites it then canonicalises like the reference
+    chain that still computes it: ``((f & c) | r1) & c`` is ``f & c``.
     """
 
     def __init__(self) -> None:
@@ -420,6 +427,8 @@ class Normalizer:
         self._simplified: Dict[int, Expr] = {}
         #: Keeps inputs alive so their ids are not reused.
         self._pinned: List[Expr] = []
+        #: id(canonical node) -> bit bound (see :meth:`_bound`).
+        self._bounds: Dict[int, Optional[int]] = {}
 
     def node(self, op: str, *children: Any) -> Expr:
         """Interning constructor; tuple children must be canonical."""
@@ -508,6 +517,10 @@ class Normalizer:
                     folded = constants[0]
                     for value in constants[1:]:
                         folded = int(_BINOPS[op](folded, value))
+                    if op == "and":
+                        pruned = self._prune_masked(symbolic, folded)
+                        if pruned is not None:
+                            return self.simplify(pruned)
                     symbolic = symbolic + [self.node("const", folded)]
                 out = symbolic[0]
                 for term in symbolic[1:]:
@@ -515,6 +528,57 @@ class Normalizer:
                 return out
             return self.node(op, a, b)
         raise SemaError(f"cannot simplify {expr!r}")
+
+    def _prune_masked(self, terms: List[Expr],
+                      mask: int) -> Optional[Expr]:
+        """``terms & mask`` without the or-terms ``mask`` clears, or
+        None when there are none."""
+        changed = False
+        out: Expr = self.node("const", mask)
+        for term in terms:
+            if term[0] == "or":
+                parts = self._flatten("or", term)
+                kept = [part for part in parts
+                        if self._bound(part) is None
+                        or self._bound(part) & mask]
+                if len(kept) < len(parts):
+                    changed = True
+                    term = kept[0] if kept else self.node("const", 0)
+                    for part in kept[1:]:
+                        term = ("or", term, part)
+            out = ("and", out, term)
+        return out if changed else None
+
+    def _bound(self, expr: Expr) -> Optional[int]:
+        """A mask holding every bit ``expr`` can set, or None when it
+        may be negative or is not bounded by these rules."""
+        key = id(expr)
+        if key in self._bounds:
+            return self._bounds[key]
+        op = expr[0]
+        bound: Optional[int] = None
+        if op == "const":
+            bound = expr[1] if expr[1] >= 0 else None
+        elif op in _LEAVES:
+            bound = MASK32
+        elif op in ("and", "or", "xor", "add", "shr", "floordiv", "cond"):
+            left, right = [self._bound(child) for child in expr[-2:]]
+            if op == "and":
+                known = [b for b in (left, right) if b is not None]
+                bound = known[0] & known[-1] if known else None
+            elif left is None or right is None:
+                bound = None
+            elif op == "add":
+                bound = (1 << (left + right).bit_length()) - 1
+            elif op == "shr":
+                bound = left >> expr[2][1] if expr[2][0] == "const" \
+                    else left
+            elif op == "floordiv":
+                bound = left
+            else:  # or, xor, cond
+                bound = left | right
+        self._bounds[key] = bound
+        return bound
 
     def leaves(self, expr: Expr) -> List[Expr]:
         """Distinct leaf symbols of a canonical DAG (shared-aware)."""

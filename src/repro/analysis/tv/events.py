@@ -35,7 +35,9 @@ class State:
 
 @dataclass(frozen=True)
 class Pacing:
-    """The loop-top pacing check: exit before overshooting either limit."""
+    """The per-iteration pacing check (at the loop top in the reference,
+    at the back-edge in generated code): exit before overshooting
+    either limit."""
 
     insns: int
     cycles: int

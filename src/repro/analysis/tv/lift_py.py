@@ -16,7 +16,15 @@ the loop body, producing the event trace of :mod:`.events`:
   :class:`~repro.analysis.tv.events.HandlerCall` (with the handler's
   register havoc applied from the *binding table*, which the validator
   separately checks against the decoded instructions), and the
-  IRQ/SMC/pacing/terminator conditionals emit their exit events.
+  IRQ/SMC/pacing/terminator conditionals emit their exit events;
+* lazy condition flags are followed: an inlined flag write's
+  ``f = ...`` formula appears only where FLAGS can be observed (before
+  a commit, inside an exit branch, at the back-edge), a JZ/JNZ loop
+  exit may test the formula's ``m == 0`` instead of ``f & 64``, and a
+  back-edge that leaves a formula pending is accepted only when the
+  loop body never reads the stale bits it carries into the next
+  iteration.  The pacing re-check sits at the back-edge and is
+  reported first, where the reference puts the loop-top check.
 
 The lifter never consults the decoded instruction list — everything it
 produces comes from the emitted source plus the handler binding table,
@@ -27,7 +35,7 @@ two-sided check.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import sema
@@ -115,6 +123,23 @@ _EPILOGUE = (
 _CHARGE_FLUSH = "if chg:\n    charge(chg, GUEST)\n    chg = 0"
 _IRQ_CHECK = "if irq is not None and irq.has_pending():\n    break"
 
+#: The translator's flag formulas (add, subtract, logic).  Each keeps
+#: the bits of ``f`` outside CF|ZF|SF|OF, sets only those four, and
+#: sets ZF exactly when ``m == 0`` (``a``/``b`` are 32-bit, so
+#: ``t >> 32`` is 0 or 1): the facts lazy flags rest on.
+_FLAG_FORMULAS = (
+    "f = (f & -2242) | (t >> 32) | ((m >> 24) & 128)"
+    " | ((((a ^ m) & (b ^ m)) & 2147483648) >> 20)"
+    " | (64 if m == 0 else 0)",
+    "f = (f & -2242) | (1 if a < b else 0) | ((m >> 24) & 128)"
+    " | ((((a ^ b) & (a ^ m)) & 2147483648) >> 20)"
+    " | (64 if m == 0 else 0)",
+    "f = (f & -2242) | ((m >> 24) & 128) | (64 if m == 0 else 0)",
+)
+
+#: CF|ZF|SF|OF.
+_ARITH_FLAGS = ~sema.CLEAR_ARITH_FLAGS
+
 
 # -- AST helpers -------------------------------------------------------------
 
@@ -132,6 +157,59 @@ def _int_const(node: ast.expr) -> Optional[int]:
 
 def _is_name(node: ast.expr, name: str) -> bool:
     return isinstance(node, ast.Name) and node.id == name
+
+
+def _is_flag_formula(stmt: Optional[ast.Assign]) -> bool:
+    return stmt is not None \
+        and any(_matches(stmt, line) for line in _FLAG_FORMULAS)
+
+
+def _is_zf_test(test: ast.expr) -> Optional[bool]:
+    """``m == 0`` -> False, ``m != 0`` -> True (negated), else None."""
+    if isinstance(test, ast.Compare) and len(test.ops) == 1 \
+            and _is_name(test.left, "m") \
+            and _int_const(test.comparators[0]) == 0:
+        if isinstance(test.ops[0], ast.Eq):
+            return False
+        if isinstance(test.ops[0], ast.NotEq):
+            return True
+    return None
+
+
+def _reads_arith_flags(exprs: List[Expr]) -> bool:
+    """Does any expression read CF/ZF/SF/OF of the block-entry FLAGS?
+
+    Only ``FLAGS & c`` with ``c`` clearing all four is blind to them.
+    """
+    seen: set = set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node == sema.FLAGS:
+            return True
+        if node[0] == "and" and node[1] == sema.FLAGS \
+                and node[2][0] == "const" \
+                and not node[2][1] & _ARITH_FLAGS:
+            continue
+        stack.extend(child for child in node[1:]
+                     if isinstance(child, tuple))
+    return False
+
+
+def _event_exprs(event: Event) -> List[Expr]:
+    if isinstance(event, Barrier):
+        return [event.flags, *event.regs]
+    exprs: List[Expr] = []
+    state = getattr(event, "state", None)
+    if state is not None:
+        exprs += [state.flags, *state.regs]
+    cond = getattr(event, "cond", None)
+    if cond is not None:
+        exprs.append(cond)
+    return exprs
 
 
 def _is_cpu_attr(node: ast.expr, attr: str) -> bool:
@@ -169,16 +247,24 @@ class _Lifter:
         self.ir = 0
         self.cy = 0
         self.chg = 0
-        #: Current value of ``cpu.flags`` (committed or handler-written).
-        self.cpu_flags: Expr = sema.FLAGS
-        self.committed_ir = 0
-        self.committed_cy = 0
+        #: Current value of ``cpu.flags`` (committed or handler-written)
+        #: and the committed counter offsets.  At the loop top they
+        #: hold the entry values only on the first iteration (later
+        #: ones see the last commit), so they stay unknown until this
+        #: iteration commits.
+        self.cpu_flags: Expr = sema.havoc_flags(-1)
+        self.committed_ir = -1
+        self.committed_cy = -1
         self.committed_pc = entry_pc
         self.saved = -1
         self.pending_flush: Optional[int] = None
         self.handler_index = 0
         self.events: List[Event] = []
         self.terminated = False
+        #: The back-edge pacing check and its exit branch's flag formula.
+        self.pacing: Optional[Pacing] = None
+        self.pacing_formula: Optional[ast.Assign] = None
+        self.pacing_flags: Expr = sema.FLAGS
 
     # -- expression lifting ------------------------------------------------
 
@@ -243,13 +329,47 @@ class _Lifter:
 
     def run(self, stmts: List[ast.stmt]) -> None:
         i = 0
-        while i < len(stmts):
+        while i < len(stmts) and self.pacing is None:
             if self.terminated:
                 raise TvStructureError(
                     "statements after the block's terminal exit")
             i = self._step(stmts, i)
         if not self.terminated:
-            self.events.append(LoopEdge(state=self.state()))
+            self._back_edge(stmts[i:])
+
+    def _back_edge(self, tail: List[ast.stmt]) -> None:
+        """Pacing re-check, then at most the pending flag formula."""
+        if self.pacing is None:
+            raise TvStructureError("loop without a back-edge pacing check")
+        formula = self.pacing_formula
+        if tail:
+            if len(tail) > 1 or formula is None \
+                    or ast.dump(tail[0]) != ast.dump(formula):
+                raise TvStructureError(
+                    "the back-edge does not end with the pacing exit's "
+                    "flag formula")
+            self._assign(tail, 0, formula)
+        elif formula is not None:
+            # The formula stays pending into the next iteration, whose
+            # local ``f`` is then stale in CF/ZF/SF/OF (and exact in
+            # every other bit, as the formula rewrites only those).
+            # Sound only if this iteration, lifted from the entry
+            # FLAGS, never reads those four bits of them.
+            if not _is_flag_formula(formula):
+                raise TvStructureError(
+                    "pending back-edge flags are not a flag formula")
+            self.f = self.pacing_flags
+            if _reads_arith_flags([expr for event in self.events
+                                   for expr in _event_exprs(event)]
+                                  + [self.f]):
+                raise TvStructureError(
+                    "the loop reads FLAGS before its first flag write, "
+                    "but the back-edge leaves a flag formula pending")
+        # The pacing exit leaves with exactly the loop-edge state; it
+        # re-checks the next iteration, as the reference's loop-top
+        # check does.
+        self.events.insert(0, self.pacing)
+        self.events.append(LoopEdge(state=self.state()))
 
     def _step(self, stmts: List[ast.stmt], i: int) -> int:
         stmt = stmts[i]
@@ -296,21 +416,25 @@ class _Lifter:
                                        pc=self.committed_pc,
                                        state=self.state()))
             return i + 1
-        pacing = self._match_pacing(stmt)
-        if pacing is not None:
-            if i != 0 or self.ir != 0:
-                raise TvStructureError("pacing check not at the loop top")
-            self.events.append(pacing)
+        if self._match_pacing(stmt):
             return i + 1
         # Conditional exits / terminators.
         if not stmt.orelse:
-            if len(stmt.body) == 2 \
-                    and isinstance(stmt.body[0], ast.Assign) \
-                    and isinstance(stmt.body[1], ast.Break):
-                target = self._exit_pc(stmt.body[0])
+            branch = self._exit_branch(stmt.body)
+            if branch is not None:
+                formula, target, flags = branch
+                negated = _is_zf_test(stmt.test)
+                if negated is not None and _is_flag_formula(formula):
+                    # ``m == 0`` is the pending formula's ZF.
+                    cond: Expr = ("truthy",
+                                  ("and", flags, sema.const(64)))
+                    if negated:
+                        cond = ("not", cond)
+                else:
+                    cond = self.lift_bool(stmt.test)
                 self.events.append(CondExit(
-                    cond=self.lift_bool(stmt.test), pc=target,
-                    state=self.state()))
+                    cond=cond, pc=target,
+                    state=replace(self.state(), flags=flags)))
                 return i + 1
             raise TvStructureError(
                 f"unrecognised conditional `{ast.dump(stmt)[:100]}`")
@@ -328,6 +452,24 @@ class _Lifter:
             return i + 2
         raise TvStructureError(
             f"unrecognised conditional `{ast.dump(stmt)[:100]}`")
+
+    def _exit_branch(self, body: List[ast.stmt]) \
+            -> Optional[Tuple[Optional[ast.Assign], int, Expr]]:
+        """``[f = E;] cpu.pc = N; break`` -> (formula, N, exit flags)."""
+        if len(body) not in (2, 3) or not isinstance(body[-1], ast.Break) \
+                or not isinstance(body[-2], ast.Assign):
+            return None
+        formula: Optional[ast.Assign] = None
+        flags = self.f
+        if len(body) == 3:
+            first = body[0]
+            if not (isinstance(first, ast.Assign)
+                    and len(first.targets) == 1
+                    and _is_name(first.targets[0], "f")):
+                return None
+            formula = first
+            flags = self.lift_expr(first.value)
+        return formula, self._exit_pc(body[-2]), flags
 
     @staticmethod
     def _exit_pc(stmt: ast.stmt) -> int:
@@ -361,7 +503,7 @@ class _Lifter:
             raise TvStructureError("malformed SMC generation check")
         return page, generation
 
-    def _match_pacing(self, stmt: ast.If) -> Optional[Pacing]:
+    def _match_pacing(self, stmt: ast.If) -> bool:
         test = stmt.test
         if not (isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or)
                 and len(test.values) == 2):
@@ -381,12 +523,17 @@ class _Lifter:
         insns = limit(test.values[0], "ir", "li")
         cycles = limit(test.values[1], "cy", "lc")
         if insns is None or cycles is None:
-            return None
-        if len(stmt.body) != 2 or not isinstance(stmt.body[1], ast.Break) \
-                or stmt.orelse:
+            return False
+        branch = self._exit_branch(stmt.body)
+        if branch is None or stmt.orelse:
             raise TvStructureError("malformed pacing check")
-        return Pacing(insns=insns, cycles=cycles,
-                      exit_pc=self._exit_pc(stmt.body[0]))
+        # At the back-edge ``ir``/``cy`` already hold the next
+        # iteration's entry values.
+        if self.ir != insns or self.cy != cycles:
+            raise TvStructureError("pacing check not at the back-edge")
+        self.pacing_formula, exit_pc, self.pacing_flags = branch
+        self.pacing = Pacing(insns=insns, cycles=cycles, exit_pc=exit_pc)
+        return True
 
     # -- assignments -------------------------------------------------------
 
@@ -412,6 +559,14 @@ class _Lifter:
                     raise TvStructureError("saved PC is not a constant")
                 self.saved = value
                 return
+            if name in ("a", "b"):
+                # ALU operands: a register or a 32-bit constant.
+                value = _int_const(stmt.value)
+                if _reg_index(stmt.value) is None \
+                        and not (value is not None
+                                 and 0 <= value <= sema.MASK32):
+                    raise TvStructureError(
+                        f"`{name}` is not a register or 32-bit constant")
             if name in ("a", "b", "t", "m"):
                 self.locals[name] = self.lift_expr(stmt.value)
                 return

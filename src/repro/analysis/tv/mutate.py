@@ -3,10 +3,13 @@
 A validator that accepts everything is worse than none.  This harness
 compiles one fixture superblock that exercises every structural
 feature (inline ALU + flags, loads, stores, IRQ/SMC exits, loop
-pacing, a conditional loop edge), then applies 15 seeded miscompile
-mutations — each a realistic translator bug: a dropped commit, a wrong
-flag formula, off-by-one accounting, a weakened guard — and asserts
-the validator kills every single one.  CI requires 15/15.
+pacing, a conditional loop edge, lazily emitted flags), then applies
+seeded miscompile mutations — each a realistic translator bug: a
+dropped commit, a wrong flag formula, off-by-one accounting, a
+weakened guard, a flag formula missing where FLAGS are observed — and
+asserts the validator kills every single one.  A second fixture, whose
+loop runs a load before its first flag write, carries the
+mutations of its loop-head barrier and back-edge.  CI requires 21/21.
 
 Run it via ``tools/tv_mutate.py`` or ``python -m
 repro.analysis.tv.mutate``.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.analysis.tv.validator import TvResult, validate_block
 from repro.asm import assemble
@@ -39,7 +42,20 @@ loop:
     HLT
 """
 
+#: Back-edge fixture: the load observes FLAGS before the loop's first
+#: flag write, so the SUBI formula must be emitted at the back-edge.
+BACK_EDGE_FIXTURE = """
+    MOVI R0, 64
+    MOVI R3, 0x8000
+loop:
+    LD   R2, [R3+0]
+    SUBI R0, 1
+    JNZ  loop
+    HLT
+"""
+
 _BODY = " " * 16
+_FLAG_LINE = r"f = \(f & -2242\)[^\n]*"
 
 
 def _drop_line(line: str) -> Callable[[str], str]:
@@ -120,7 +136,32 @@ SOURCE_MUTATIONS: List[Tuple[str, str, Callable[[str], str]]] = [
      _bump_barrier_pc),
     ("negate-branch",
      "conditional loop edge tests the negated condition",
-     _swap("if f & 64:", "if not f & 64:")),
+     _swap("if m == 0:", "if m != 0:")),
+    ("drop-exit-flags",
+     "loop exit branch leaves without emitting the pending flags",
+     _regex(r"(if m == 0:)\n" + _BODY + "    " + _FLAG_LINE, r"\1")),
+    ("drop-pacing-flags",
+     "pacing exit leaves without emitting the pending flags",
+     _regex(r"( > lc:)\n" + _BODY + "    " + _FLAG_LINE, r"\1")),
+]
+
+#: Mutations of :data:`BACK_EDGE_FIXTURE` (same shape as above).
+BACK_EDGE_MUTATIONS: List[Tuple[str, str, Callable[[str], str]]] = [
+    ("drop-loop-head-flags",
+     "the loop-head barrier loses `cpu.flags = f`: later iterations "
+     "load with the previous iteration's FLAGS committed",
+     _drop_line("cpu.flags = f")),
+    ("drop-loop-head-instret",
+     "the loop-head barrier loses `cpu.instret = ir`",
+     _drop_line("cpu.instret = ir")),
+    ("drop-loop-head-cycles",
+     "the loop-head barrier loses `cpu.cycle_count = cy`",
+     _drop_line("cpu.cycle_count = cy")),
+    ("drop-back-edge-flags",
+     "back-edge keeps a formula pending although the next iteration's "
+     "load commits FLAGS before any flag write",
+     _regex(r"\n" + _BODY + _FLAG_LINE + r"(?=\n        except Fault)",
+            "")),
 ]
 
 
@@ -132,12 +173,12 @@ class MutationOutcome:
     detail: str
 
 
-def _compile_fixture():
-    """Compile the fixture loop and return (meta, block, page_gens)."""
+def _compile_fixture(source: str = FIXTURE_SOURCE) -> Tuple[Any, tuple, Any]:
+    """Compile a fixture loop and return (meta, block, page_gens)."""
     memory = PhysicalMemory(1 << 20)
     cpu = Cpu(memory, IoBus(), translate=True)
     firmware.install_flat_firmware(cpu)
-    program = assemble(FIXTURE_SOURCE, origin=0x4000)
+    program = assemble(source, origin=0x4000)
     program.load_into(memory)
     engine = cpu._sb_engine
     assert engine is not None
@@ -149,13 +190,11 @@ def _compile_fixture():
         memory.page_gens
 
 
-def run_harness() -> Tuple[Optional[TvResult], List[MutationOutcome]]:
-    """(baseline result, one outcome per mutation)."""
-    meta, block, page_gens = _compile_fixture()
-    baseline = validate_block(meta, block=block, page_gens=page_gens)
-
+def _mutate_all(meta: Any, block: tuple, page_gens: Any,
+                mutations: List[Tuple[str, str, Callable[[str], str]]]) \
+        -> List[MutationOutcome]:
     outcomes: List[MutationOutcome] = []
-    for name, description, mutate in SOURCE_MUTATIONS:
+    for name, description, mutate in mutations:
         mutated = replace(meta, source=mutate(meta.source))
         result = validate_block(mutated, block=block,
                                 page_gens=page_gens)
@@ -163,9 +202,26 @@ def run_harness() -> Tuple[Optional[TvResult], List[MutationOutcome]]:
         outcomes.append(MutationOutcome(
             name=name, description=description, killed=not result.ok,
             detail=detail))
+    return outcomes
 
-    # Mutation 15 tampers the installed guard, not the source: the
-    # block tuple bakes in a generation the code was not compiled for.
+
+def run_harness() -> Tuple[Optional[TvResult], List[MutationOutcome]]:
+    """(baseline result, one outcome per mutation)."""
+    meta, block, page_gens = _compile_fixture()
+    baseline = validate_block(meta, block=block, page_gens=page_gens)
+    outcomes = _mutate_all(meta, block, page_gens, SOURCE_MUTATIONS)
+
+    edge_meta, edge_block, edge_gens = _compile_fixture(BACK_EDGE_FIXTURE)
+    edge_baseline = validate_block(edge_meta, block=edge_block,
+                                   page_gens=edge_gens)
+    if not edge_baseline.ok:
+        raise RuntimeError(f"back-edge fixture does not validate: "
+                           f"{edge_baseline.failures}")
+    outcomes += _mutate_all(edge_meta, edge_block, edge_gens,
+                            BACK_EDGE_MUTATIONS)
+
+    # The last mutation tampers the installed guard, not the source:
+    # the block tuple bakes in a generation the code was not compiled for.
     tampered = block[:6] + (block[6] + 1,)
     result = validate_block(meta, block=tampered, page_gens=page_gens)
     detail = result.failures[0] if result.failures else "accepted"

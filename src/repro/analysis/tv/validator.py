@@ -83,6 +83,8 @@ def _leaf_name(leaf: Tuple[Any, ...]) -> str:
         return "flags"
     if leaf[0] == "hreg":
         return f"h{leaf[1]}.r{leaf[2]}"
+    if leaf == sema.havoc_flags(-1):
+        return "uncommitted cpu.flags"
     if leaf[0] == "hflags":
         return f"h{leaf[1]}.flags"
     return repr(leaf)

@@ -19,16 +19,26 @@ Translation must be *observably invisible*.  The contract, enforced by
 construction and by the differential regression tests:
 
 * **Per-instruction accounting.**  ``instret``/``cycle_count``/budget
-  charges are committed to the CPU before every operation that can
-  fault, touch a device, or otherwise observe CPU state, and at every
-  block exit — so profiler strides, watchdog quanta, fault
+  charges and FLAGS are committed to the CPU before every operation
+  that can fault, touch a device, or otherwise observe CPU state, and
+  at every block exit — so profiler strides, watchdog quanta, fault
   ``at_count`` triggers, device event timing and replay journals are
   byte-identical with translation on.
+* **Lazy condition flags.**  An inlined instruction's CF/ZF/SF/OF
+  formula is left pending and emitted only where FLAGS can be
+  observed: before a commit barrier, inside each exit branch (the
+  terminator's, the pacing check's, the JMP/fall-through exit) and at
+  a loop's back-edge when the body commits FLAGS before its first flag
+  write.  A formula the next inline flag write replaces is never
+  computed (every formula rewrites the same four bits), and a JZ/JNZ
+  loop exit tests the pending result ``m == 0`` instead.
 * **Block boundaries respect run-loop boundaries.**  A block only
   executes while it provably cannot cross ``cpu.block_instret_limit``
   (the run cap or the next profiler stride) or
-  ``cpu.block_cycle_limit`` (the next device-event due time); outside
-  a run loop both limits are 0, so bare ``cpu.step()`` keeps exact
+  ``cpu.block_cycle_limit`` (the next device-event due time): the
+  dispatcher checks the whole block before entering, and a loop block
+  re-checks the next iteration at its back-edge.  Outside a run loop
+  both limits are 0, so bare ``cpu.step()`` keeps exact
   single-instruction semantics.
 * **Same invalidation triggers as the decode cache.**  Blocks guard on
   CS descriptor identity, the paging on/off state and the backing
@@ -49,7 +59,7 @@ breakpointed PCs all fall back to the interpreter, exactly as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 # The instruction classification (what inlines, what needs a handler,
 # what touches memory/stores) is shared with the static-analysis stack
@@ -86,10 +96,22 @@ _COND = {
             "not (f & 64 or ((f >> 4) ^ f) & 128)"),
 }
 
+#: Loop-exit tests of JZ/JNZ while a flag formula is pending: every
+#: inline formula sets ZF exactly when its result ``m`` is 0.
+_ZF_EXIT = {"JZ": "m != 0", "JNZ": "m == 0"}
+
 _TERMINATORS = frozenset(_COND) | {"JMP"}
 
 _MASK = 4294967295  # 0xFFFFFFFF
 #: ``f & -2242`` clears CF|ZF|SF|OF (~0x8C1) and preserves TF/IF/IOPL.
+
+#: Compiled block factories shared by every CPU in the process, keyed
+#: by (generated source, filename): a fresh machine (one per fleet job)
+#: that translates a loop an earlier one already did skips
+#: ``compile()``.  Handlers and operands are bound per CPU when the
+#: factory is called.
+_FACTORIES: Dict[Tuple[str, str], Callable[..., Any]] = {}
+_FACTORY_CAPACITY = 256
 
 
 @dataclass
@@ -448,26 +470,47 @@ class SuperblockEngine:
             pending[0] = pending[1] = 0
             return lines
 
+        # -- lazy condition flags: an inlined flag write leaves its
+        #    ``f = ...`` formula pending and it is emitted only where
+        #    FLAGS can be observed.  Every inline formula rewrites the
+        #    same four bits (and reads only the others), so a pending
+        #    formula that a later one replaces is dead.
+        flags: List[Optional[str]] = [None]
+
+        def materialize() -> List[str]:
+            line, flags[0] = flags[0], None
+            return [line] if line else []
+
+        def exit_branch(target: int) -> List[str]:
+            lines = [flags[0]] if flags[0] else []
+            return ["    " + line for line in
+                    lines + [f"cpu.pc = {target}", "break"]]
+
+        # Does a handler observe FLAGS before the body's first flag
+        # write?  Then a formula pending at the back-edge must be
+        # emitted there, or the next iteration would commit stale bits.
+        wrote_flags = False
+        observed_first = False
         body_lines: List[str] = []
-        if loop:
-            body_lines += [
-                f"if ir + {total_insns} > li or cy + {total_cycles} > lc:",
-                f"    cpu.pc = {entry_pc}",
-                "    break",
-            ]
         for pc, spec, operands in body:
             mnemonic = spec.mnemonic
             if mnemonic in _INLINE:
-                body_lines += _inline_lines(mnemonic, operands)
+                lines = _inline_lines(mnemonic, operands)
+                if lines and lines[-1].startswith("f = "):
+                    flags[0] = lines.pop()
+                    wrote_flags = True
+                body_lines += lines
                 pending[0] += 1
                 pending[1] += spec.cycles
                 continue
             # Handler-executed instruction: commit architectural state
             # first (the handler may fault or reach a device), then
             # account for it, then check the hazards it may have raised.
+            observed_first = observed_first or not wrote_flags
             index = len(handlers)
             handlers.append(("_op_" + mnemonic.lower(), operands))
             body_lines += flush_pending()
+            body_lines += materialize()
             body_lines += [
                 "cpu.flags = f",
                 "cpu.instret = ir",
@@ -495,17 +538,13 @@ class SuperblockEngine:
         if terminator:
             pending[0] += 1
             pending[1] += last_spec.cycles
-            body_lines += flush_pending()
-            if terminator == "JMP":
-                if loop:
-                    pass  # unconditional loop edge: fall to the loop top
-                else:
-                    body_lines += [f"cpu.pc = {taken}", "break"]
-            elif loop:
-                taken_expr, not_taken = _COND[terminator]
-                body_lines += [f"if {not_taken}:",
-                               f"    cpu.pc = {fall_through}",
-                               "    break"]
+        body_lines += flush_pending()
+        if not loop:
+            body_lines += materialize()
+            if terminator is None:
+                body_lines += [f"cpu.pc = {fall_through}", "break"]
+            elif terminator == "JMP":
+                body_lines += [f"cpu.pc = {taken}", "break"]
             else:
                 taken_expr, _ = _COND[terminator]
                 body_lines += [f"if {taken_expr}:",
@@ -514,8 +553,20 @@ class SuperblockEngine:
                                f"    cpu.pc = {fall_through}",
                                "break"]
         else:
-            body_lines += flush_pending()
-            body_lines += [f"cpu.pc = {fall_through}", "break"]
+            if terminator != "JMP":
+                test = _ZF_EXIT.get(terminator) if flags[0] else None
+                if test is None:
+                    body_lines += materialize()
+                    test = _COND[terminator][1]
+                body_lines += [f"if {test}:"] + exit_branch(fall_through)
+            # Pacing re-check for the next iteration, at the back-edge:
+            # the dispatcher's entry guard is the same inequality, so it
+            # already covers the first one.
+            body_lines += [f"if ir + {total_insns} > li"
+                           f" or cy + {total_cycles} > lc:"]
+            body_lines += exit_branch(entry_pc)
+            if observed_first:
+                body_lines += materialize()
 
         # -- assemble the factory -------------------------------------
         params = "".join(f", h{i}, o{i}" for i in range(len(handlers)))
@@ -573,14 +624,20 @@ class SuperblockEngine:
                 self._refused.add(entry_lin)
                 return
 
-        namespace: dict = {}
-        exec(compile(source, f"<superblock@{entry_lin:#x}>", "exec"),
-             namespace)
+        key = (source, f"<superblock@{entry_lin:#x}>")
+        factory = _FACTORIES.get(key)
+        if factory is None:
+            namespace: dict = {}
+            exec(compile(source, key[1], "exec"), namespace)
+            factory = namespace["_factory"]
+            if len(_FACTORIES) >= _FACTORY_CAPACITY:
+                del _FACTORIES[next(iter(_FACTORIES))]
+            _FACTORIES[key] = factory
         args = [CpuFault, CAT_GUEST]
         for name, operands in handlers:
             args.append(getattr(cpu, name))
             args.append(operands)
-        fn = namespace["_factory"](*args)
+        fn = factory(*args)
 
         if len(self.blocks) >= self.CACHE_CAPACITY:
             self.invalidate()

@@ -225,6 +225,27 @@ class TestSimplifyAndNormalizer:
         assert ((value + 3) & sema.MASK32) ^ 0x55 == 0 \
             or ((value + 3) ^ 0x55) & sema.MASK32 == 0
 
+    def test_masked_or_terms_are_dropped(self):
+        """``((F & c) | r) & c`` is ``F & c`` when ``c`` clears every bit
+        ``r`` can set; a term that may set a surviving bit stays."""
+        norm = sema.Normalizer()
+        clear = sema.const(sema.CLEAR_ARITH_FLAGS)
+        m = ("and", ("add", sema.reg(1), sema.const(3)),
+             sema.const(sema.MASK32))
+        zf = ("cond", ("eq0", m), sema.const(64), sema.const(0))
+        sf = ("and", ("shr", m, sema.const(24)), sema.const(128))
+        formula = ("or", ("or", ("and", sema.FLAGS, clear), sf), zf)
+        masked = ("and", formula, clear)
+        equal, how, _ = norm.equal(masked, ("and", sema.FLAGS, clear))
+        assert equal and how == "syntactic"
+        canonical = norm.simplify(masked)
+        for env in sema.battery_environments([sema.FLAGS, sema.reg(1)]):
+            assert norm.evaluate(canonical, env, {}) \
+                == sema.evaluate(masked, env)
+        wide = ("or", ("and", sema.FLAGS, clear), sema.reg(2))
+        assert norm.simplify(("and", wide, clear)) \
+            is not norm.simplify(("and", sema.FLAGS, clear))
+
     def test_battery_is_deterministic(self):
         symbols = [sema.reg(1), sema.FLAGS]
         first = sema.battery_environments(symbols)

@@ -448,3 +448,52 @@ class TestStats:
             assert gauge is not None, key
         assert registry.get("interp.block_cache.hits").value \
             == cpu.block_cache_stats()["hits"]
+
+
+class TestSharedBlockCode:
+    """Compiled block code is shared by every CPU in the process; the
+    handlers and operands it calls stay bound per CPU."""
+
+    def _run_fresh_cpus(self, monkeypatch, **kwargs):
+        from repro.interp import translate
+        compiled = []
+
+        def counting_compile(*args, **kw):
+            compiled.append(args[1])
+            return compile(*args, **kw)
+
+        monkeypatch.setattr(translate, "_FACTORIES", {})
+        monkeypatch.setattr(translate, "compile", counting_compile,
+                            raising=False)
+        cpus = []
+        for _ in range(2):
+            cpu = Cpu(PhysicalMemory(1 << 20), IoBus(), translate=True,
+                      **kwargs)
+            firmware.install_flat_firmware(cpu)
+            load(cpu, HOT_LOOP)
+            cpu.run(100_000)
+            assert cpu.block_cache_stats()["blocks_compiled"] == 1
+            cpus.append(cpu)
+        return compiled, cpus
+
+    def test_fresh_cpus_compile_a_loop_once(self, monkeypatch):
+        compiled, cpus = self._run_fresh_cpus(monkeypatch)
+        assert len(compiled) == 1
+        first, second = cpus
+        assert second.regs == first.regs
+        assert (second.flags, second.pc, second.instret,
+                second.cycle_count) == (first.flags, first.pc,
+                                        first.instret, first.cycle_count)
+        assert second.budget.by_category() == first.budget.by_category()
+        plain, _ = run_pair(HOT_LOOP)[1]
+        assert second.regs == plain.regs
+        assert second.instret == plain.instret
+
+    def test_verify_on_compile_still_validates_every_block(
+            self, monkeypatch):
+        compiled, cpus = self._run_fresh_cpus(monkeypatch,
+                                              verify_translations=True)
+        assert len(compiled) == 1
+        for cpu in cpus:
+            assert cpu._sb_engine.tv_validated == 1
+            assert cpu._sb_engine.tv_rejected == 0

@@ -77,6 +77,25 @@ class TestValidatorOnCorrectBlocks:
         for report in validate_random(15):
             assert report.ok, report.format_text()
 
+    def test_dropped_flag_writes_prove_syntactically(self):
+        """XORI's, ADDI's and CMPI's formulas are dead (the SUBI
+        overwrites them before anything observes FLAGS), so the block
+        never computes them while the reference chain does."""
+        report = validate_program(assemble("""
+            MOVI R0, 50
+        loop:
+            XORI R1, 0x55
+            ADDI R1, 3
+            CMPI R1, 900
+            MOV  R2, R1
+            SUBI R0, 1
+            JNZ  loop
+            HLT
+        """, origin=ORIGIN))
+        (result,) = report.results
+        assert result.ok, report.format_text()
+        assert result.proofs["concrete"] == 0
+
 
 class TestValidatorRejections:
     def _fixture(self):

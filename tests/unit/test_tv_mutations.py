@@ -2,6 +2,7 @@
 worse than none, so CI requires every seeded miscompile to be caught."""
 
 from repro.analysis.tv.mutate import (
+    BACK_EDGE_MUTATIONS,
     SOURCE_MUTATIONS,
     main as mutate_main,
     run_harness,
@@ -9,11 +10,11 @@ from repro.analysis.tv.mutate import (
 
 
 class TestMutationKill:
-    def test_all_fifteen_mutations_are_killed(self):
+    def test_all_twenty_one_mutations_are_killed(self):
         baseline, outcomes = run_harness()
         assert baseline is not None and baseline.ok, \
             "fixture block must validate before mutation"
-        assert len(outcomes) == 15
+        assert len(outcomes) == 21
         missed = [o.name for o in outcomes if not o.killed]
         assert not missed, f"validator missed mutations: {missed}"
 
@@ -21,10 +22,14 @@ class TestMutationKill:
         names = {name for name, _desc, _fn in SOURCE_MUTATIONS}
         for family in ("drop-flags-commit", "zf-wrong-bit",
                        "instret-off-by-one", "drop-smc-check",
-                       "drop-irq-check", "negate-branch"):
+                       "drop-irq-check", "negate-branch",
+                       "drop-exit-flags", "drop-pacing-flags"):
             assert family in names
+        assert {"drop-loop-head-flags", "drop-loop-head-instret",
+                "drop-loop-head-cycles", "drop-back-edge-flags"} \
+            <= {name for name, _desc, _fn in BACK_EDGE_MUTATIONS}
 
     def test_cli_entry_point_exits_zero(self, capsys):
         assert mutate_main([]) == 0
         out = capsys.readouterr().out
-        assert "15/15 mutations killed" in out
+        assert "21/21 mutations killed" in out
