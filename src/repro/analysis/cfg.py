@@ -82,9 +82,6 @@ class Cfg:
     #: Static branch/jump/call targets: (src, target).
     branch_targets: List[Tuple[int, int]] = field(default_factory=list)
 
-    def reachable_addresses(self) -> Set[int]:
-        return set(self.insn_at)
-
     def block_count(self) -> int:
         return len(self.blocks)
 

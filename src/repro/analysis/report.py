@@ -67,9 +67,6 @@ class Report:
     def warnings(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == SEV_WARNING]
 
-    def findings_for(self, check: str) -> List[Finding]:
-        return [f for f in self.findings if f.check == check]
-
     @property
     def clean(self) -> bool:
         """True when no error-severity finding survived."""

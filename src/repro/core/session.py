@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import MonitorError, TripleFault
+from repro.errors import MonitorError
 from repro.hw.machine import Machine, MachineConfig
 from repro.hw.uart import HostSerialPort
 from repro.rsp.client import RspClient
@@ -72,10 +72,7 @@ class DebugSession:
         """One scheduling quantum for the target."""
         self.monitor.service_debugger()
         if not self.monitor.stopped and not self.monitor.guest_dead:
-            try:
-                self.monitor.run(RUN_SLICE)
-            except TripleFault as fault:
-                self.monitor._guest_died(str(fault))
+            self.monitor.run(RUN_SLICE)
 
     def run_guest(self, max_instructions: int = 1_000_000,
                   until: Optional[Callable[[], bool]] = None) -> int:

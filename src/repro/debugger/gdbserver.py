@@ -120,11 +120,7 @@ class GdbServer:
         monitor = self.session.monitor
         monitor.service_debugger()
         if not monitor.stopped and not monitor.guest_dead:
-            from repro.errors import TripleFault
-            try:
-                monitor.run(RUN_SLICE)
-            except TripleFault as fault:
-                monitor._guest_died(str(fault))
+            monitor.run(RUN_SLICE)
 
 
 def _build_session(guest: str) -> DebugSession:

@@ -62,10 +62,6 @@ class DeviceError(ReproError):
     """A device model was programmed inconsistently by the driver."""
 
 
-class GuestPanic(ReproError):
-    """The guest OS model detected an unrecoverable internal condition."""
-
-
 class MonitorError(ReproError):
     """The virtual machine monitor reached an inconsistent state."""
 

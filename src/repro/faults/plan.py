@@ -127,8 +127,8 @@ class FaultPlan:
         self.trace = FaultTrace()
         self.armed = True
         #: Multicast observation point notified as ``taps(purpose,
-        #: value)`` after every RNG draw (``purpose`` is "decide",
-        #: "range" or "byte").  The flight recorder journals draws as
+        #: value)`` after every RNG draw (``purpose`` is "decide"
+        #: or "range").  The flight recorder journals draws as
         #: provenance; the tracer subscribes alongside.  Observers must
         #: only observe and never consume RNG state themselves, or the
         #: determinism contract above breaks.
@@ -144,10 +144,6 @@ class FaultPlan:
         self.recoveries: Dict[Tuple[str, str], int] = {}
 
     # -- schedule ------------------------------------------------------------
-
-    def add_rule(self, rule: FaultRule) -> FaultRule:
-        self.rules.append(rule)
-        return rule
 
     def disarm(self) -> None:
         """Stop injecting (the fault window closes); counters survive."""
@@ -209,12 +205,6 @@ class FaultPlan:
         value = self._rng.randrange(upper)
         if self.draw_taps:
             self.draw_taps("range", value)
-        return value
-
-    def rand_byte(self) -> int:
-        value = self._rng.randrange(256)
-        if self.draw_taps:
-            self.draw_taps("byte", value)
         return value
 
     # -- recovery accounting -------------------------------------------------

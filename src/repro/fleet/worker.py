@@ -162,12 +162,8 @@ class ExecSlices:
 
     def step(self) -> None:
         """One slice: run, checkpoint, think."""
-        from repro.errors import TripleFault
         self.monitor.stopped = False
-        try:
-            self.monitor.run(self.slice_insns)
-        except TripleFault as fault:
-            self.monitor._guest_died(str(fault))
+        self.monitor.run(self.slice_insns)
         if self.recorder is not None:
             # checkpoint_every=1 fired inside run-end; the digest is
             # the newest checkpoint frame.

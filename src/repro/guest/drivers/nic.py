@@ -68,10 +68,6 @@ class GuestNicDriver:
         used = (self._tail - self._clean) % self.ring_len
         return self.ring_len - 1 - used
 
-    def frames_for_segment(self, length: int) -> int:
-        payload = length + UDP_HEADER
-        return (payload + FRAGMENT_PAYLOAD - 1) // FRAGMENT_PAYLOAD
-
     def send_segment(self, buffer_addr: int, length: int) -> bool:
         """Queue one UDP segment as IP fragments, zero-copy.
 

@@ -34,7 +34,6 @@ from repro.hw.isa import (
     FLAG_TF,
     FLAG_ZF,
     IOPL_SHIFT,
-    IRQ_BASE_VECTOR,
     NUM_GPRS,
     REG_SP,
     SEG_CS,
@@ -190,12 +189,13 @@ class Cpu:
         self._sb_blocks: Dict[int, tuple] = {}
         #: Run-loop pacing: a block may only execute while it provably
         #: stays at or below both limits (instret cap / profiler stride,
-        #: and the next device-event due time).  Both are 0 outside a
-        #: run loop, so bare ``step()`` never enters a block.
+        #: and the next device-event due time).  Only :meth:`run` sets
+        #: them; both are 0 outside it, so bare ``step()`` never enters
+        #: a block.
         self.block_instret_limit = 0
         self.block_cycle_limit = 0
         #: Instructions retired by the last dispatch beyond the usual
-        #: one; run loops add it to ``executed`` and reset it.
+        #: one; :meth:`run` adds it to ``executed`` and resets it.
         self.block_extra_steps = 0
 
         self.regs: List[int] = [0] * NUM_GPRS
@@ -799,66 +799,97 @@ class Cpu:
             except CpuFault as fault:
                 self._handle_fault(fault, self.pc)
 
-    def run(self, max_instructions: int = 1_000_000) -> int:
-        """Step until HLT-with-no-wakeup or the instruction cap."""
+    def run(self, max_instructions: int = 1_000_000,
+            until: Optional[Callable[[], bool]] = None,
+            events=None, hook=None) -> int:
+        """The one run loop: a bare CPU, ``Machine.run`` and the LVMM all
+        run here.  Returns the steps taken: :meth:`step` calls plus the
+        extra instructions blocks retired, not counting a step that a
+        triple fault ends.
+
+        ``events`` is the device side (a ``Machine``):
+        ``events.sync_events()`` fires every event due at the cycle
+        count and ``events.queue.peek_time()`` is the next due time.
+        ``hook`` is a monitor's work between instructions:
+        ``hook.between_instructions()`` returns True to end the run,
+        ``hook.take_sample(cpu)`` runs once instret reaches
+        ``hook.next_sample`` and returns the next threshold, and
+        ``hook.triple_fault(fault)`` takes a triple fault, which
+        otherwise propagates.
+
+        Between two instructions, in order: the sample, the cap,
+        ``until``, the hook, ``sync_events``, the halt, the pacing
+        limits.  A halted CPU ends the run unless a device event can
+        wake it, in which case the clock fast-forwards to that event.
+        Superblock pacing: a block runs only while it cannot cross the
+        run cap, the next sample or the next device event, so every
+        per-instruction observable (samples, timer IRQs, replay frames)
+        lands on the same instruction as in the interpreter.  An
+        ``until`` predicate inspects state between single instructions,
+        so it disables translation.
+        """
         executed = 0
-        translate = self._sb_engine is not None
+        engine = self._sb_engine
+        translate = engine is not None and until is None
+        inf = float("inf")
+        next_sample = inf if hook is None else hook.next_sample
+        sync = next_event = None
+        if events is not None:
+            sync = events.sync_events
+            next_event = events.queue.peek_time
+        # With no interrupt source the per-step poll can never accept
+        # anything, so it is skipped (``_step_insn`` still clears the
+        # STI shadow).
+        step = self._step_insn if self.irq_source is None else self.step
         if translate:
-            # Bare runs have no event queue, so blocks are paced by the
-            # instruction cap alone.
-            self.block_cycle_limit = float("inf")
+            self.block_cycle_limit = inf
         try:
-            if self.irq_source is None:
-                # Fast inner loop: with no interrupt source attached the
-                # per-step interrupt poll can never accept anything, so
-                # it is hoisted out (``_step_insn`` still clears the STI
-                # shadow); the halted checks collapse to one branch.
-                step_insn = self._step_insn
-                while executed < max_instructions:
-                    if self.halted:
-                        if self.exception_hook is None:
-                            break
-                        before = self.instret
-                        self.step()  # halted bookkeeping (tick / death)
-                        if self.instret == before and self.halted:
-                            break
-                        executed += 1
-                        continue
-                    if translate:
-                        self.block_instret_limit = self.instret \
-                            + (max_instructions - executed)
-                    before = self.instret
-                    step_insn()
-                    extra = self.block_extra_steps
-                    self.block_extra_steps = 0
-                    # "Last micro-step made no progress and halted" —
-                    # for a block, instructions retired before an
-                    # in-block fault (== extra) don't count as progress
-                    # of the faulting step itself.
-                    if self.halted and self.instret - before == extra:
-                        executed += extra
-                        break
-                    executed += 1 + extra
-                return executed
             while executed < max_instructions:
-                if self.halted and self.irq_source is None \
-                        and self.exception_hook is None:
+                if until is not None and until():
                     break
+                if hook is not None and hook.between_instructions():
+                    break
+                if sync is not None:
+                    sync()
+                if self.halted:
+                    if sync is None:
+                        break  # no device can wake it
+                    if not self.irq_source.has_pending():
+                        if not self.interrupts_enabled \
+                                and self.interrupt_hook is None:
+                            break  # HLT with IF=0 and no monitor: dead
+                        wake = next_event()
+                        if wake is None:
+                            break  # halted forever: nothing will wake us
+                        # Fast-forward: HLT burns no budget while waiting.
+                        self.cycle_count = wake
+                        continue
                 if translate:
-                    self.block_instret_limit = self.instret \
-                        + (max_instructions - executed)
-                before = self.instret
-                self.step()
-                extra = self.block_extra_steps
-                self.block_extra_steps = 0
-                if self.halted and self.instret - before == extra:
-                    executed += extra
+                    limit = self.instret + (max_instructions - executed)
+                    self.block_instret_limit = \
+                        limit if limit < next_sample else next_sample
+                    if next_event is not None:
+                        due = next_event()
+                        self.block_cycle_limit = inf if due is None else due
+                try:
+                    step()
+                except TripleFault as fault:
+                    if hook is None:
+                        raise
+                    executed += self.block_extra_steps
+                    hook.triple_fault(fault)
                     break
-                executed += 1 + extra
-            return executed
+                executed += 1 + self.block_extra_steps
+                self.block_extra_steps = 0
+                if self.instret >= next_sample:
+                    next_sample = hook.take_sample(self)
+                    if engine is not None:
+                        engine.note_sample(self)
         finally:
             self.block_instret_limit = 0
             self.block_cycle_limit = 0
+            self.block_extra_steps = 0
+        return executed
 
     def _maybe_take_interrupt(self) -> bool:
         if self._interrupt_shadow:
@@ -939,27 +970,12 @@ class Cpu:
         self._set_zsf(masked)
         return masked
 
-    # -- decode helpers -----------------------------------------------------
-
-    @staticmethod
-    def _rr(body: bytes) -> Tuple[int, int]:
-        return (body[0] >> 4) & 0x7, body[0] & 0x7
-
-    @staticmethod
-    def _imm32(body: bytes, offset: int = 0) -> int:
-        return int.from_bytes(body[offset:offset + 4], "little")
-
     # -- table dispatch ------------------------------------------------------
     #
     # One handler per opcode, bound into ``self._dispatch`` at construction
     # and called with pre-decoded operands (see isa.OPERAND_DECODERS), so
     # the hot loop never string-compares mnemonics and a decode-cache hit
     # never touches the instruction bytes again.
-
-    def _execute(self, spec: isa.InsnSpec, body: bytes) -> None:
-        """Decode the operand bytes and dispatch (slow-path/compat entry)."""
-        handler, decoder, _ = self._dispatch[spec.opcode]
-        handler(decoder(body) if decoder is not None else None)
 
     # -- control -------------------------------------------------------------
 

@@ -43,10 +43,6 @@ class Disk:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.blocks * BLOCK_SIZE
-
     def _check_range(self, lba: int, count: int) -> None:
         if lba < 0 or count < 0 or lba + count > self.blocks:
             raise DeviceError(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.errors import CpuHalted
 from repro.hw.bus import IoBus
 from repro.hw.cpu import Cpu
 from repro.hw.disk import Disk
@@ -137,59 +136,15 @@ class Machine:
         """Fire every device event due at or before the CPU's cycle count."""
         self.queue.run_until(self.cpu.cycle_count)
 
-    def step(self) -> None:
-        """One CPU instruction plus any device events that became due."""
-        self.sync_events()
-        self.cpu.step()
-
     def run(self, max_instructions: int = 1_000_000,
             until: Optional[Callable[[], bool]] = None) -> int:
-        """Co-simulate CPU and devices.
+        """Co-simulate CPU and devices in the CPU's run loop.
 
         Stops when ``until()`` returns True, the instruction cap is hit,
-        or the machine is irrecoverably halted.  Returns instructions
-        retired.
+        or the machine is irrecoverably halted.  Returns the steps taken
+        (see :meth:`Cpu.run`).
         """
-        executed = 0
-        cpu = self.cpu
-        # Superblock pacing as in ``LightweightVmm.run``: a block runs
-        # only while it cannot cross the instruction cap or the next
-        # device-event due time, and never under an ``until`` predicate
-        # (it inspects state between single instructions).
-        translate = cpu._sb_engine is not None and until is None
-        inf = float("inf")
-        try:
-            while executed < max_instructions:
-                if until is not None and until():
-                    break
-                self.sync_events()
-                if cpu.halted and not self.pic.has_pending():
-                    if not cpu.interrupts_enabled \
-                            and cpu.interrupt_hook is None:
-                        break  # HLT with IF=0 and no monitor: dead machine
-                    next_time = self.queue.peek_time()
-                    if next_time is None:
-                        break  # halted forever: nothing will wake us
-                    # Fast-forward: HLT burns no budget while waiting.
-                    cpu.cycle_count = next_time
-                    continue
-                if translate:
-                    cpu.block_instret_limit = \
-                        cpu.instret + (max_instructions - executed)
-                    next_time = self.queue.peek_time()
-                    cpu.block_cycle_limit = \
-                        inf if next_time is None else next_time
-                try:
-                    cpu.step()
-                except CpuHalted:
-                    break
-                executed += 1 + cpu.block_extra_steps
-                cpu.block_extra_steps = 0
-        finally:
-            cpu.block_instret_limit = 0
-            cpu.block_cycle_limit = 0
-            cpu.block_extra_steps = 0
-        return executed
+        return self.cpu.run(max_instructions, until, events=self)
 
     # ------------------------------------------------------------------
 

@@ -341,6 +341,3 @@ class HostSerialPort:
             queue.clear()
             return out
         return bytes(queue.popleft() for _ in range(max_bytes))
-
-    def recv_available(self) -> int:
-        return len(self._link.a_to_b)

@@ -34,12 +34,13 @@ construction and by the differential regression tests:
   loop exit tests the pending result ``m == 0`` instead.
 * **Block boundaries respect run-loop boundaries.**  A block only
   executes while it provably cannot cross ``cpu.block_instret_limit``
-  (the run cap or the next profiler stride) or
-  ``cpu.block_cycle_limit`` (the next device-event due time): the
-  dispatcher checks the whole block before entering, and a loop block
-  re-checks the next iteration at its back-edge.  Outside a run loop
-  both limits are 0, so bare ``cpu.step()`` keeps exact
-  single-instruction semantics.
+  (the run cap or the next profiler sample) or
+  ``cpu.block_cycle_limit`` (the next device-event due time), which
+  ``Cpu.run`` -- the one run loop, shared by ``Machine.run`` and the
+  LVMM -- sets before each step: the dispatcher checks the whole block
+  before entering, and a loop block re-checks the next iteration at
+  its back-edge.  Outside ``Cpu.run`` both limits are 0, so bare
+  ``cpu.step()`` keeps exact single-instruction semantics.
 * **Same invalidation triggers as the decode cache.**  Blocks guard on
   CS descriptor identity, the paging on/off state and the backing
   physical page's write generation, and the whole cache is flushed by

@@ -28,8 +28,9 @@ other subsystem:
 
 Everything here is zero-cost when disabled: hooks are guarded tap
 points that cost one truthiness check at the observation site, and the
-only per-instruction cost the profiler adds to the monitor run loop is
-a single integer compare (gated in ``benchmarks/bench_host_budgets.py``).
+profiler's per-instruction cost is the run loop's single integer
+compare, paid with or without one (gated in
+``benchmarks/bench_host_budgets.py``).
 """
 
 from repro.obs.bus import SpanHandle, TraceBus, TraceRecord

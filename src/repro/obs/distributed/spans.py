@@ -150,20 +150,6 @@ class WorkerSpanRecorder:
             args={"trace": ctx.encode(), "bytes": nbytes,
                   "worker": self.worker_index})
 
-    # -- watchdog ------------------------------------------------------------
-
-    def note_watchdog(self, cycle: int, src: str, dst: str,
-                      reason: str) -> None:
-        parent = self.job_ctx if self.job_ctx is not None \
-            else self.rsp_ctx
-        if parent is None:
-            return
-        ctx = self.alloc.child(parent)
-        self.bus.instant(
-            CAT_FLEET, "watchdog", cycle,
-            args={"trace": ctx.encode(), "from": src, "to": dst,
-                  "reason": reason, "worker": self.worker_index})
-
     # -- shipping ------------------------------------------------------------
 
     def drain(self) -> List[Dict]:

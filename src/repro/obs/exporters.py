@@ -265,28 +265,10 @@ def fleet_chrome_trace(collector, aggregated=None, slo=None,
     return document
 
 
-def write_fleet_trace(path, collector, aggregated=None, slo=None,
-                      label: str = "fleet") -> Path:
-    """Write the fleet trace document; byte-stable for equal inputs."""
-    path = Path(path)
-    document = fleet_chrome_trace(collector, aggregated=aggregated,
-                                  slo=slo, label=label)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def collapsed_stacks(profiler, symbols=None) -> str:
     """Flamegraph collapsed-stack text (newline-terminated lines)."""
     lines = profiler.collapsed_stacks(symbols)
     return "".join(line + "\n" for line in lines)
-
-
-def write_collapsed(path, profiler, symbols=None) -> Path:
-    path = Path(path)
-    path.write_text(collapsed_stacks(profiler, symbols))
-    return path
 
 
 def export_stats_json(path, experiment: str, stats: Dict,

@@ -7,10 +7,10 @@ run loop records the guest PC, its current ring, and the most recent
 trap reason (the last monitor trace event kind, threaded in by
 whoever wires the profiler up — see ``LightweightVmm.attach_profiler``).
 
-The cost contract: the monitor run loop pays **one integer compare
-per instruction** (``instret >= next_sample``), nothing more.  When
-the profiler is detached the compare is against :data:`NEVER` and can
-never fire; the interpreter's own hot loop (``Cpu.run``) is untouched.
+The cost contract: the run loop (``Cpu.run``) pays **one integer
+compare per instruction** (``instret >= next_sample``), nothing more,
+whether a profiler is attached or not.  Without one the compare is
+against :data:`NEVER` and can never fire.
 
 Sampling is deterministic: samples land on exact stride boundaries of
 the retired-instruction counter (instret 0 excluded — ``stride, 2 *
@@ -79,7 +79,7 @@ class GuestProfiler:
     def sample(self, cpu) -> float:
         """Record one sample; returns the next threshold.
 
-        Called by the monitor run loop when ``cpu.instret`` crosses
+        Called from the run loop when ``cpu.instret`` crosses
         :attr:`next_sample`.  The run loop re-arms its local threshold
         from the return value so the steady-state cost stays one
         compare.

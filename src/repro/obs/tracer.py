@@ -122,11 +122,6 @@ class Tracer:
         """Trace a stub created after :meth:`attach` (perf consoles)."""
         self._sub(stub.packet_taps, self._on_rsp_packet)
 
-    def add_plan(self, plan) -> None:
-        """Trace a fault plan created after :meth:`attach`."""
-        self._sub(plan.fire_taps, self._on_fault_fire)
-        self._sub(plan.draw_taps, self._on_fault_draw)
-
     def add_watchdog(self, watchdog) -> None:
         """Trace a watchdog created after :meth:`attach`."""
         self._sub(watchdog.transition_taps, self._on_watchdog)

@@ -32,11 +32,6 @@ class FigureSeries:
         """(transfer rate Mbps, CPU load %) pairs, as plotted."""
         return [(s.target_mbps, s.load * 100) for s in self.samples]
 
-    def max_sustainable_mbps(self) -> Optional[float]:
-        """Largest swept rate still under 100% load."""
-        sustainable = [s.target_mbps for s in self.samples if s.sustainable]
-        return max(sustainable) if sustainable else None
-
 
 SEGMENT_BITS = 8 * 1024 * 1024  # one 1024 KB segment on the wire
 

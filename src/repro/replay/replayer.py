@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import JournalError, TripleFault
+from repro.errors import JournalError
 from repro.hw.machine import Machine
 from repro.replay.journal import Frame, Journal, machine_config, typed_field
 from repro.replay.recorder import FlightRecorder, OP_KINDS, XC_KINDS
@@ -263,10 +263,7 @@ class Replayer:
         elif kind == "run":
             limit = typed_field(data, "max", int, where)
             monitor.stopped = typed_field(data, "pre_stopped", bool, where)
-            try:
-                monitor.run(limit)
-            except TripleFault as fault:
-                monitor._guest_died(str(fault))
+            monitor.run(limit)
         elif kind == "wild-write":
             monitor.inject_wild_write(typed_field(data, "addr", int, where),
                                       typed_field(data, "data", bytes, where))

@@ -30,7 +30,6 @@ from repro.rsp.target import (
     TargetAdapter,
     WATCH_READ,
     WATCH_WRITE,
-    SIGTRAP,
 )
 
 _WATCH_KINDS = {2: WATCH_WRITE, 3: WATCH_READ, 4: WATCH_WRITE}
@@ -73,9 +72,6 @@ class DebugStub:
             self._decoder.interrupts = 0
             if self.running:
                 self.report_stop(2)  # SIGINT
-
-    def pending_interrupt(self) -> bool:
-        return self._decoder.interrupts > 0
 
     # ------------------------------------------------------------------
 

@@ -169,6 +169,3 @@ class CpuTargetAdapter(TargetAdapter):
 
     def stop_signal(self) -> int:
         return self._stop_signal
-
-    def set_stop_signal(self, signal: int) -> None:
-        self._stop_signal = signal

@@ -52,10 +52,10 @@ from repro.hw.scsi import PORT_BASE_SCSI, PORT_SPAN
 from repro.hw.seg import DESCRIPTOR_SIZE, selector_index
 from repro.hw.uart import IRQ_COM1, PORT_BASE_COM1
 from repro.obs.bus import CAT_TRAP, TraceBus
-from repro.obs.profiler import GuestProfiler
+from repro.obs.profiler import NEVER, GuestProfiler
 from repro.obs.taps import TapPoint
 from repro.rsp.stub import DebugStub
-from repro.rsp.target import CpuTargetAdapter, SIGILL, SIGSEGV, SIGTRAP
+from repro.rsp.target import CpuTargetAdapter, SIGSEGV, SIGTRAP
 from repro.sim.budget import CAT_EMULATION, CAT_INTERRUPT, CAT_WORLD_SWITCH
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vmm.commands import dispatch
@@ -758,8 +758,6 @@ class LightweightVmm:
             cpu.deliver(vector)
         except CpuFault:
             self._guest_died(f"fault delivering vector {vector}")
-        except TripleFault:
-            self._guest_died(f"triple fault delivering vector {vector}")
 
     def _after_virtual_eoi(self) -> None:
         """More virtual interrupts may be deliverable after an EOI."""
@@ -904,7 +902,8 @@ class LightweightVmm:
             self.machine.cpu.flags |= FLAG_TF
 
     # ------------------------------------------------------------------
-    # Run loop
+    # Run loop: the CPU runs the guest (``Cpu.run``); the monitor steps
+    # in only between instructions, through the hook methods below
     # ------------------------------------------------------------------
 
     def run(self, max_instructions: int = 1_000_000,
@@ -914,72 +913,41 @@ class LightweightVmm:
         ``until`` is an optional zero-argument predicate checked between
         instructions (e.g. "guest reached its done state").
         """
-        executed = 0
-        cpu = self.machine.cpu
-        # Profiler threshold, hoisted so the steady-state cost of
-        # sampling support is ONE integer compare per instruction; with
-        # no profiler attached the threshold is +inf and the compare can
-        # never fire (see repro.obs.profiler).
-        profiler = self.profiler
-        next_sample = profiler.next_sample if profiler is not None \
-            else float("inf")
-        # Superblock pacing: before each step, cap the translated-block
-        # budget at whichever boundary comes first — the run cap, the
-        # next profiler stride, or the next device-event due time — so
-        # every per-instruction observable (samples, timer IRQs, replay
-        # frames) lands on exactly the same instruction as under the
-        # pure interpreter.  ``until`` predicates inspect state between
-        # single instructions, so translation is disabled for them.
-        engine = cpu._sb_engine
-        translate = engine is not None and until is None
-        inf = float("inf")
         if self.record_taps:
             self.record_taps("run-begin", {"max": max_instructions,
                                            "pre_stopped": self.stopped})
-        try:
-            while executed < max_instructions:
-                if self.stopped or self.guest_dead:
-                    break
-                if until is not None and until():
-                    break
-                if self._pending_sti_window:
-                    self._pending_sti_window = False
-                    self._reflect_pending_interrupt()
-                self.machine.sync_events()
-                if cpu.halted and not self.machine.pic.has_pending():
-                    next_time = self.machine.queue.peek_time()
-                    if next_time is None:
-                        break
-                    cpu.cycle_count = next_time
-                    continue
-                if translate:
-                    limit = cpu.instret + (max_instructions - executed)
-                    if next_sample < limit:
-                        limit = next_sample
-                    cpu.block_instret_limit = limit
-                    next_time = self.machine.queue.peek_time()
-                    cpu.block_cycle_limit = \
-                        inf if next_time is None else next_time
-                try:
-                    cpu.step()
-                except TripleFault as fault:
-                    executed += cpu.block_extra_steps
-                    cpu.block_extra_steps = 0
-                    self._guest_died(str(fault))
-                    break
-                executed += 1 + cpu.block_extra_steps
-                cpu.block_extra_steps = 0
-                if cpu.instret >= next_sample:
-                    next_sample = profiler.sample(cpu)
-                    if engine is not None:
-                        engine.note_sample(cpu)
-        finally:
-            cpu.block_instret_limit = 0
-            cpu.block_cycle_limit = 0
+        executed = self.machine.cpu.run(max_instructions, until,
+                                        events=self.machine, hook=self)
         if self.record_taps:
             self.record_taps("run-end", {"max": max_instructions,
                                          "executed": executed})
         return executed
+
+    def between_instructions(self) -> bool:
+        """End the run once the guest is stopped or dead; otherwise
+        reflect an interrupt the last STI/IRET/EOI made deliverable."""
+        if self.stopped or self.guest_dead:
+            return True
+        if self._pending_sti_window:
+            self._pending_sti_window = False
+            self._reflect_pending_interrupt()
+        return False
+
+    @property
+    def next_sample(self) -> float:
+        """Instret of the attached profiler's next sample."""
+        return NEVER if self.profiler is None else self.profiler.next_sample
+
+    def take_sample(self, cpu: Cpu) -> float:
+        """Sample the guest PC; returns the next threshold."""
+        if self.profiler is None:
+            return NEVER  # detached during this run
+        return self.profiler.sample(cpu)
+
+    def triple_fault(self, fault: TripleFault) -> None:
+        """The guest's #DF delivery faulted: the guest is dead, the
+        monitor and its debugger stub live on."""
+        self._guest_died(str(fault))
 
 
 #: Short alias used throughout the docs and tests.

@@ -11,7 +11,7 @@ from repro.asm import assemble
 from repro.baremetal import BareMetalRunner
 from repro.core.session import DebugSession
 from repro.guest.asmkernel import KernelConfig, build_kernel
-from repro.hw import firmware
+from repro.hw import Cpu, firmware
 from repro.hw.machine import Machine
 from repro.hw.uart import HostSerialPort
 from repro.rsp.client import RspClient
@@ -107,6 +107,99 @@ class TestLvmmSurvivesGuestCrashes:
         # Memory *below* the monitor really was trashed (the sweep ran).
         assert sess.machine.memory.read_u32(0xE00000) == 0xFFFFFFFF
         assert monitor_base == 0xF00000
+
+
+#: A guest whose exception delivery faults and whose #DF delivery
+#: faults too: its #DE and #DF gates are present, but SP is 0, so
+#: pushing either frame leaves the stack segment.  The #DE comes from a
+#: DIV inside a hot loop, so with translation on it faults mid-block.
+TRIPLE_FAULT_GUEST = f"""
+    .equ IDT, {firmware.GUEST_KERNEL_BASE + 0x10000}
+    .equ IDTR, {firmware.GUEST_KERNEL_BASE + 0x18000}
+    MOVI R1, IDT
+    MOVI R0, handler
+    ST   [R1+0], R0
+    ST   [R1+64], R0
+    MOVI R0, {firmware.IDX_CODE0 << 2}
+    ST16 [R1+4], R0
+    ST16 [R1+68], R0
+    MOVI R0, 1
+    ST16 [R1+6], R0
+    ST16 [R1+70], R0
+    MOVI R2, IDTR
+    MOVI R0, {256 * 8}
+    ST   [R2+0], R0
+    MOVI R0, IDT
+    ST   [R2+4], R0
+    MOV  R0, R2
+    LIDT R0
+    MOVI SP, 0
+    MOVI R0, 300
+    MOVI R5, 1
+loop:
+    ADDI R1, 1
+    DIV  R2, R5
+    SUBI R0, 1
+    JNZ  loop
+    MOVI R5, 0
+    MOVI R0, 4
+    JMP  loop
+handler:
+    HLT
+"""
+
+
+class TestLvmmSurvivesTripleFault:
+    """A triple fault inside ``cpu.step`` kills the guest, not the
+    monitor: no exception escapes the run, and the run's count is the
+    same in both execution tiers."""
+
+    def _session(self, monkeypatch, translate):
+        monkeypatch.setattr(Cpu, "TRANSLATE_DEFAULT", translate)
+        sess = DebugSession(monitor="lvmm")
+        sess.load_and_boot(crashing_guest(TRIPLE_FAULT_GUEST))
+        sess.attach()
+        run_ends = []
+        sess.monitor.record_taps.subscribe(
+            lambda kind, payload: kind == "run-end"
+            and run_ends.append(payload["executed"]))
+        return sess, run_ends
+
+    def _assert_died_of_triple_fault(self, sess, translate):
+        monitor = sess.monitor
+        cpu = sess.machine.cpu
+        assert monitor.guest_dead
+        assert "triple fault" in monitor.guest_dead_reason
+        assert (cpu.block_instret_limit, cpu.block_cycle_limit,
+                cpu.block_extra_steps) == (0, 0, 0)
+        if translate:
+            assert cpu.block_cache_stats()["hits"] > 0
+
+    def _both_tiers(self, monkeypatch, drive):
+        counts = []
+        for translate in (True, False):
+            sess, run_ends = self._session(monkeypatch, translate)
+            executed = drive(sess)
+            self._assert_died_of_triple_fault(sess, translate)
+            counts.append((executed, run_ends, sess.machine.cpu.instret))
+        assert counts[0] == counts[1]
+        return counts[0]
+
+    def test_monitor_run(self, monkeypatch):
+        def drive(sess):
+            sess.monitor.resume_guest(step=False)
+            return sess.monitor.run(50_000)
+
+        executed, run_ends, _ = self._both_tiers(monkeypatch, drive)
+        assert run_ends == [executed]
+
+    def test_debug_session_pump(self, monkeypatch):
+        def drive(sess):
+            assert sess.client.cont() == b"S0b"  # SIGSEGV: guest died
+            return None
+
+        _, run_ends, _ = self._both_tiers(monkeypatch, drive)
+        assert run_ends
 
 
 class TestEmbeddedStubDiesWithGuest:

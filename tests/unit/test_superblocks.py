@@ -12,10 +12,14 @@ import random
 import pytest
 
 from repro.asm import assemble
+from repro.errors import TripleFault
 from repro.hw import Cpu, IoBus, PhysicalMemory
 from repro.hw import firmware
 from repro.hw.isa import VEC_DB
+from repro.hw.machine import Machine, MachineConfig
 from repro.obs.metrics import MetricsRegistry, collect_interp
+from repro.obs.profiler import GuestProfiler
+from repro.vmm import LightweightVmm
 
 ORIGIN = 0x4000
 SCRATCH = 0x9000
@@ -82,6 +86,63 @@ loop:
     JNZ  loop
     HLT
 """
+
+
+#: A hot loop whose DIV faults mid-block once R5 drops to 0.
+FAULTING_LOOP = """
+    MOVI R0, 300
+    MOVI R5, 1
+loop:
+    ADDI R1, 1
+    DIV  R2, R5
+    SUBI R0, 1
+    JNZ  loop
+    MOVI R5, 0
+    MOVI R0, 4
+    JMP  loop
+"""
+
+
+def small_machine():
+    return Machine(MachineConfig(memory_size=1 << 20, disks=[],
+                                 with_nic=False))
+
+
+def run_bare():
+    cpu = make_cpu(translate=True)
+    load(cpu, HOT_LOOP)
+    cpu.run(600)  # compile the loop
+    return cpu
+
+
+def run_machine():
+    machine = small_machine()
+    load(machine.cpu, HOT_LOOP)
+    machine.run(600)
+    return machine.cpu
+
+
+def run_monitor_profiled():
+    machine = Machine()
+    monitor = LightweightVmm(machine)
+    monitor.install()
+    load(machine.cpu, HOT_LOOP, origin=firmware.GUEST_KERNEL_BASE)
+    monitor.boot_guest(firmware.GUEST_KERNEL_BASE)
+    profiler = monitor.attach_profiler(GuestProfiler(stride=64))
+    monitor.run(600)
+    assert profiler.total_samples
+    return machine.cpu
+
+
+def run_machine_to_triple_fault():
+    """No IDT, so the in-block #DE and then #DF cannot be delivered."""
+    machine = small_machine()
+    load(machine.cpu, FAULTING_LOOP)
+    with pytest.raises(TripleFault):
+        machine.run(100_000)
+    # A divisor and a count the loop can be stepped with.
+    machine.cpu.regs[0], machine.cpu.regs[5] = 100, 1
+    return machine.cpu
 
 
 class TestEquivalence:
@@ -417,17 +478,21 @@ class TestInvalidation:
             "insns_translated": 0, "hit_rate": 0.0,
         }
 
-    def test_bare_step_never_enters_blocks(self):
-        """Outside a run loop both block limits are 0, so single-step
-        debugging always uses the interpreter path."""
-        cpu = make_cpu(translate=True)
-        load(cpu, HOT_LOOP)
-        cpu.run(600)  # compile the loop
+    @pytest.mark.parametrize("run", [
+        run_bare, run_machine, run_monitor_profiled,
+        run_machine_to_triple_fault,
+    ], ids=["cpu", "machine", "monitor-profiled", "machine-triple-fault"])
+    def test_bare_step_never_enters_blocks(self, run):
+        """Every run leaves the pacing fields at 0, including one that
+        ends in an exception, so single-step debugging always uses the
+        interpreter path."""
+        cpu = run()
         stats = cpu.block_cache_stats()
         assert stats["blocks_compiled"] >= 1
         hits_before = stats["hits"]
         assert cpu.block_instret_limit == 0
         assert cpu.block_cycle_limit == 0
+        assert cpu.block_extra_steps == 0
         for _ in range(50):
             cpu.step()
         assert cpu.block_cache_stats()["hits"] == hits_before
