@@ -458,6 +458,27 @@ class Assembler:
         raise AssemblerError(f"line {line}: undefined symbol {token!r}")
 
 
+#: Assembled programs by ``(source, origin)``, shared by every caller in
+#: the process: builders such as ``build_kernel`` assemble the same
+#: source for each machine they build.  Oldest entry dropped first.
+_PROGRAMS: Dict[Tuple[str, int], Program] = {}
+_PROGRAM_CAPACITY = 32
+
+
 def assemble(source: str, origin: int = 0) -> Program:
-    """Convenience wrapper: assemble ``source`` at ``origin``."""
-    return Assembler().assemble(source, origin)
+    """Convenience wrapper: assemble ``source`` at ``origin``.
+
+    Results are cached; each call returns a new :class:`Program` whose
+    ``symbols`` and ``listing`` are its own copies, so a caller that
+    edits them changes neither the cache nor another caller's program.
+    """
+    key = (source, origin)
+    cached = _PROGRAMS.get(key)
+    if cached is None:
+        cached = Assembler().assemble(source, origin)
+        if len(_PROGRAMS) >= _PROGRAM_CAPACITY:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        _PROGRAMS[key] = cached
+    return Program(origin=cached.origin, image=cached.image,
+                   symbols=dict(cached.symbols),
+                   listing=list(cached.listing))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import MonitorError
-from repro.hw.seg import SegmentDescriptor
+from repro.hw.seg import intern_descriptor
 
 #: The ``machine_state`` keys :func:`restore` skips.
 CLOCK_KEYS = ("instret", "cycle", "now")
@@ -144,7 +144,7 @@ def restore(machine, snapshot: MachineSnapshot, monitor=None) -> None:
     cpu.crs[:] = state["crs"]
     for index, (selector, raw) in enumerate(state["segments"]):
         cpu.force_segment(index, selector,
-                          SegmentDescriptor.unpack(bytes.fromhex(raw)))
+                          intern_descriptor(bytes.fromhex(raw)))
     cpu.gdt.load(*state["gdtr"])
     cpu.idtr_base, cpu.idtr_limit = state["idtr"]
     cpu.tss_base = state["tss_base"]

@@ -91,6 +91,10 @@ class IoBus:
     def __init__(self) -> None:
         self._ports: List[_PortRange] = []
         self._mmio: List[_MmioRange] = []
+        #: Lowest start and highest end of any MMIO range (both 0 while
+        #: there is none): an access wholly outside them is plain RAM.
+        self.mmio_start = 0
+        self.mmio_end = 0
         self.intercept: Optional[IoIntercept] = None
         #: Counters used by tests and benchmarks: (reads, writes).
         self.port_accesses = 0
@@ -130,6 +134,8 @@ class IoBus:
                     f"MMIO range [{start:#x},{end:#x}) for {name!r} overlaps "
                     f"{existing.name!r}")
         self._mmio.append(_MmioRange(start, end, device, name or repr(device)))
+        self.mmio_start = min(entry.start for entry in self._mmio)
+        self.mmio_end = max(entry.end for entry in self._mmio)
 
     def devices(self) -> List[str]:
         """Names of everything on the bus (ports first, then MMIO)."""

@@ -50,9 +50,8 @@ from repro.hw.isa import (
     VEC_VMCALL,
     ERROR_CODE_VECTORS,
     mask32,
-    signed32,
 )
-from repro.hw.paging import Mmu, PAGE_SHIFT, PageFault, span_pages
+from repro.hw.paging import Mmu, PAGE_SHIFT, PAGE_SIZE, PageFault, span_pages
 from repro.hw.seg import (
     GdtView,
     SegmentDescriptor,
@@ -64,6 +63,9 @@ from repro.sim.budget import CAT_GUEST, CAT_INTERRUPT, CycleBudget
 IDT_ENTRY_SIZE = 8
 GATE_TYPE_INTERRUPT = 0  # clears IF on entry
 GATE_TYPE_TRAP = 1       # leaves IF alone
+_PAGE_OFFSET = PAGE_SIZE - 1
+#: FLAGS without the four arithmetic bits an ALU result rewrites.
+_NOT_ARITH = ~(FLAG_CF | FLAG_ZF | FLAG_SF | FLAG_OF)
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ class Cpu:
         return mask32(descriptor.base + offset)
 
     def _physical(self, linear_addr: int, write: bool) -> int:
-        if not self.paging_enabled:
+        if not self.crs[0] & CR0_PG:
             return linear_addr
         user = self.cpl == 3
         try:
@@ -344,8 +346,23 @@ class Cpu:
                 raise CpuFault(VEC_DB, error_code=0)
 
     def read_virtual(self, seg: int, offset: int, length: int) -> bytes:
-        """Data read through segmentation + paging (+MMIO routing)."""
-        linear_addr = self.linear(seg, offset, length, write=False)
+        """Data read through segmentation + paging (+MMIO routing).
+
+        The flat data path: with paging off and no watchpoint set, an
+        access inside one page that lies wholly outside the bus's MMIO
+        window is one :meth:`PhysicalMemory.read` once the segment check
+        passes.  Everything else walks the pages one by one.
+        """
+        descriptor = self.segments[seg].descriptor
+        if offset < 0 or offset + length > descriptor.limit:
+            raise CpuFault(VEC_SS if seg == SEG_SS else VEC_GP, error_code=0)
+        linear_addr = (descriptor.base + offset) & 0xFFFFFFFF
+        if not self.crs[0] & CR0_PG and not self.watchpoints \
+                and 0 < length <= PAGE_SIZE - (linear_addr & _PAGE_OFFSET):
+            bus = self.bus
+            if linear_addr >= bus.mmio_end \
+                    or linear_addr + length <= bus.mmio_start:
+                return self.memory.read(linear_addr, length)
         self._check_watchpoints(linear_addr, length, write=False)
         chunks = []
         for vaddr, chunk in span_pages(linear_addr, length):
@@ -360,10 +377,24 @@ class Cpu:
         return b"".join(chunks)
 
     def write_virtual(self, seg: int, offset: int, data: bytes) -> None:
-        linear_addr = self.linear(seg, offset, len(data), write=True)
-        self._check_watchpoints(linear_addr, len(data), write=True)
+        """Data write; the flat data path of :meth:`read_virtual` applies."""
+        length = len(data)
+        descriptor = self.segments[seg].descriptor
+        if offset < 0 or offset + length > descriptor.limit:
+            raise CpuFault(VEC_SS if seg == SEG_SS else VEC_GP, error_code=0)
+        if not descriptor.writable:
+            raise CpuFault(VEC_GP, error_code=0)
+        linear_addr = (descriptor.base + offset) & 0xFFFFFFFF
+        if not self.crs[0] & CR0_PG and not self.watchpoints \
+                and 0 < length <= PAGE_SIZE - (linear_addr & _PAGE_OFFSET):
+            bus = self.bus
+            if linear_addr >= bus.mmio_end \
+                    or linear_addr + length <= bus.mmio_start:
+                self.memory.write(linear_addr, data)
+                return
+        self._check_watchpoints(linear_addr, length, write=True)
         cursor = 0
-        for vaddr, chunk in span_pages(linear_addr, len(data)):
+        for vaddr, chunk in span_pages(linear_addr, length):
             paddr = self._physical(vaddr, write=True)
             piece = data[cursor:cursor + chunk]
             if self.bus.is_mmio(paddr):
@@ -389,13 +420,17 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def push32(self, value: int) -> None:
-        new_sp = mask32(self.sp - 4)
-        self.write_virtual(SEG_SS, new_sp, mask32(value).to_bytes(4, "little"))
-        self.sp = new_sp
+        regs = self.regs
+        new_sp = (regs[REG_SP] - 4) & 0xFFFFFFFF
+        self.write_virtual(SEG_SS, new_sp,
+                           (value & 0xFFFFFFFF).to_bytes(4, "little"))
+        regs[REG_SP] = new_sp
 
     def pop32(self) -> int:
-        value = int.from_bytes(self.read_virtual(SEG_SS, self.sp, 4), "little")
-        self.sp = mask32(self.sp + 4)
+        regs = self.regs
+        sp = regs[REG_SP]
+        value = int.from_bytes(self.read_virtual(SEG_SS, sp, 4), "little")
+        regs[REG_SP] = (sp + 4) & 0xFFFFFFFF
         return value
 
     # ------------------------------------------------------------------
@@ -632,7 +667,7 @@ class Cpu:
         cache[linear_pc] = (handler, operands, spec.length, spec.cycles,
                            spec, descriptor, tuple(pages),
                            spec.privilege != isa.PRIV_NONE,
-                           self.paging_enabled)
+                           self.crs[0] & CR0_PG != 0)
 
     def decode_cache_stats(self) -> dict:
         """Counter snapshot for the perf-export layer."""
@@ -663,8 +698,14 @@ class Cpu:
 
     def step(self) -> None:
         """Execute one instruction (or accept one interrupt)."""
-        if self._maybe_take_interrupt():
-            return
+        if self._interrupt_shadow:
+            # STI inhibits interrupts for one instruction, like x86.
+            self._interrupt_shadow = False
+        else:
+            irq = self.irq_source
+            if irq is not None and irq.has_pending() \
+                    and self._take_interrupt(irq):
+                return
         if self.halted:
             if not self.interrupts_enabled and self.irq_source is None \
                     and self.exception_hook is None:
@@ -679,20 +720,19 @@ class Cpu:
 
         Fast path: a decode-cache hit skips the segment check, the MMU
         walk and all byte slicing for both the opcode and body fetch.  A
-        hit is valid only when (a) the CS descriptor equals the one at
-        fill time (same base/limit/DPL, hence same linear address and
-        privilege context; identity is tried first, value equality
-        second — interrupt delivery and IRET rebuild the descriptor
-        object from the GDT), (b) paging was in the same on/off state,
-        (c) the backing physical pages' write generations are unchanged
-        (self-modifying code, DMA), and (d) the TLB flush generation is
-        unchanged (CR3 writes, explicit flushes).  Breakpoint and
-        watchpoint checks still run on every execution, so #DB delivery
-        and `resume_flag` suppression are byte-for-byte identical to the
-        uncached interpreter.
+        hit is valid only when (a) the CS descriptor is the one at fill
+        time (identity first: descriptors are interned per GDT, so every
+        reload of an unchanged entry yields the same object; value
+        equality covers one installed some other way), (b) paging was in
+        the same on/off state, (c) the backing physical pages' write
+        generations are unchanged (self-modifying code, DMA), and (d)
+        the TLB flush generation is unchanged (CR3 writes, explicit
+        flushes).  Breakpoint and watchpoint checks still run on every
+        execution, so #DB delivery and `resume_flag` suppression are
+        byte-for-byte identical to the uncached interpreter.
         """
         saved_pc = self.pc
-        take_tf = bool(self.flags & FLAG_TF)
+        take_tf = self.flags & FLAG_TF
         self._interrupt_shadow = False
         suppress_bp = self.resume_flag
         self.resume_flag = False
@@ -705,6 +745,7 @@ class Cpu:
                     self._decode_tlb_gen = tlb_gen
                     self.invalidate_decode_cache()
                 linear_pc = (descriptor.base + saved_pc) & 0xFFFFFFFF
+                paging = self.crs[0] & CR0_PG != 0
                 blocks = self._sb_blocks
                 if blocks and not take_tf and not self.watchpoints:
                     # Superblock dispatch.  Static guards mirror the
@@ -720,7 +761,7 @@ class Cpu:
                     if block is not None:
                         if (block[3] is descriptor
                                 or block[3] == descriptor) \
-                                and block[4] == self.paging_enabled \
+                                and block[4] == paging \
                                 and self.memory.page_gens[block[5]] \
                                 == block[6]:
                             if self.instret + block[1] \
@@ -736,28 +777,28 @@ class Cpu:
                         else:
                             self._sb_engine.evict(linear_pc)
                 entry = self._decode_cache.get(linear_pc)
-            if entry is not None \
-                    and (entry[5] is descriptor or entry[5] == descriptor) \
-                    and entry[8] == self.paging_enabled:
-                page_gens = self.memory.page_gens
-                for page, generation in entry[6]:
-                    if page_gens[page] != generation:
+                if entry is not None:
+                    if (entry[5] is descriptor or entry[5] == descriptor) \
+                            and entry[8] == paging:
+                        page_gens = self.memory.page_gens
+                        for page, generation in entry[6]:
+                            if page_gens[page] != generation:
+                                entry = None
+                                break
+                    else:
                         entry = None
-                        break
-            else:
-                entry = None
             if entry is not None:
                 self.decode_cache_hits += 1
-                linear_pc = (descriptor.base + saved_pc) & 0xFFFFFFFF
                 if linear_pc in self.code_breakpoints and not suppress_bp:
                     raise CpuFault(VEC_DB, error_code=0)
                 # Mirror the uncached check order: opcode fetch,
                 # privilege, body fetch.
-                if self.watchpoints:
+                watchpoints = self.watchpoints
+                if watchpoints:
                     self._check_watchpoints(linear_pc, 1, write=False)
                 if entry[7]:
                     self._check_privilege(entry[4])
-                if self.watchpoints:
+                if watchpoints:
                     self._check_watchpoints(linear_pc, entry[2],
                                             write=False)
                 self.pc = (saved_pc + entry[2]) & 0xFFFFFFFF
@@ -783,7 +824,7 @@ class Cpu:
                 handler(operands)
                 cycles = spec.cycles
             self.instret += 1
-            self.budget.charge(cycles, CAT_GUEST)
+            self.budget.ledger[CAT_GUEST] += cycles
             self.cycle_count += cycles
             if self.pc < saved_pc and self._sb_engine is not None:
                 # Taken backward transfer: the classic hot-loop signal.
@@ -833,6 +874,7 @@ class Cpu:
         translate = engine is not None and until is None
         inf = float("inf")
         next_sample = inf if hook is None else hook.next_sample
+        between = None if hook is None else hook.between_instructions
         sync = next_event = None
         if events is not None:
             sync = events.sync_events
@@ -847,7 +889,7 @@ class Cpu:
             while executed < max_instructions:
                 if until is not None and until():
                     break
-                if hook is not None and hook.between_instructions():
+                if between is not None and between():
                     break
                 if sync is not None:
                     sync()
@@ -891,19 +933,13 @@ class Cpu:
             self.block_extra_steps = 0
         return executed
 
-    def _maybe_take_interrupt(self) -> bool:
-        if self._interrupt_shadow:
-            self._interrupt_shadow = False
-            return False
-        if self.irq_source is None:
-            return False
-        if not self.irq_source.has_pending():
-            return False
+    def _take_interrupt(self, irq) -> bool:
+        """Accept the request ``irq`` has pending, if it can be taken."""
         if self.interrupt_hook is not None:
             # A monitor owns interrupt acceptance outright: it decides
             # whether/when to reflect regardless of the guest's IF, since
             # the guest's IF is virtualised.
-            vector = self.irq_source.acknowledge()
+            vector = irq.acknowledge()
             self.halted = False
             if self.interrupt_hook(self, vector):
                 return True
@@ -911,7 +947,7 @@ class Cpu:
             return True
         if not self.interrupts_enabled:
             return False
-        vector = self.irq_source.acknowledge()
+        vector = irq.acknowledge()
         self.halted = False
         self.deliver(vector)
         return True
@@ -936,38 +972,38 @@ class Cpu:
         raise CpuFault(VEC_GP, error_code=0)
 
     # -- ALU flag helpers ------------------------------------------------
-
-    def _set_zsf(self, result: int) -> None:
-        self._set_flag(FLAG_ZF, result == 0)
-        self._set_flag(FLAG_SF, bool(result & 0x80000000))
+    # One write of FLAGS each: bit 31 of the result shifts down to SF
+    # (bit 7), and bit 31 of the overflow term down to OF (bit 11).
 
     def _alu_add(self, a: int, b: int) -> int:
         result = a + b
-        masked = mask32(result)
-        self._set_flag(FLAG_CF, result > 0xFFFFFFFF)
-        self._set_flag(
-            FLAG_OF,
-            (signed32(a) >= 0) == (signed32(b) >= 0)
-            and (signed32(masked) >= 0) != (signed32(a) >= 0))
-        self._set_zsf(masked)
+        masked = result & 0xFFFFFFFF
+        flags = (self.flags & _NOT_ARITH) | ((masked >> 24) & FLAG_SF) \
+            | ((((a ^ masked) & (b ^ masked)) >> 20) & FLAG_OF)
+        if result > 0xFFFFFFFF:
+            flags |= FLAG_CF
+        if not masked:
+            flags |= FLAG_ZF
+        self.flags = flags
         return masked
 
     def _alu_sub(self, a: int, b: int) -> int:
-        result = a - b
-        masked = mask32(result)
-        self._set_flag(FLAG_CF, a < b)
-        self._set_flag(
-            FLAG_OF,
-            (signed32(a) >= 0) != (signed32(b) >= 0)
-            and (signed32(masked) >= 0) != (signed32(a) >= 0))
-        self._set_zsf(masked)
+        masked = (a - b) & 0xFFFFFFFF
+        flags = (self.flags & _NOT_ARITH) | ((masked >> 24) & FLAG_SF) \
+            | ((((a ^ b) & (a ^ masked)) >> 20) & FLAG_OF)
+        if a < b:
+            flags |= FLAG_CF
+        if not masked:
+            flags |= FLAG_ZF
+        self.flags = flags
         return masked
 
     def _alu_logic(self, result: int) -> int:
-        masked = mask32(result)
-        self._set_flag(FLAG_CF, False)
-        self._set_flag(FLAG_OF, False)
-        self._set_zsf(masked)
+        masked = result & 0xFFFFFFFF
+        flags = (self.flags & _NOT_ARITH) | ((masked >> 24) & FLAG_SF)
+        if not masked:
+            flags |= FLAG_ZF
+        self.flags = flags
         return masked
 
     # -- table dispatch ------------------------------------------------------

@@ -168,6 +168,9 @@ class PicPair(PortDevice):
     # -- CPU interface -----------------------------------------------------------
 
     def has_pending(self) -> bool:
+        master = self.master
+        if not master.irr & ~master.imr:
+            return False   # the common case: nothing requested at all
         return self.pending_vector() is not None
 
     def pending_vector(self) -> Optional[int]:

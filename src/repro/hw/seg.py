@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import MemoryError_
 
@@ -89,6 +90,30 @@ class SegmentDescriptor:
         )
 
 
+#: Every descriptor read from a table, by raw entry: one shared frozen
+#: object per distinct 12 bytes.  Process-wide, because the monitor's
+#: shadow GDT and the CPU's GDTR read the same table through two views.
+_INTERNED: Dict[bytes, SegmentDescriptor] = {}
+#: Distinct raw entries interned before the table starts over.
+INTERN_CAPACITY = 256
+
+
+def intern_descriptor(raw: bytes) -> SegmentDescriptor:
+    """The one shared descriptor decoded from the raw entry ``raw``.
+
+    Descriptors are frozen, so every read of the same raw entry can
+    return the same object, and the CPU's CS guards (decode cache and
+    superblocks) then match on identity.
+    """
+    descriptor = _INTERNED.get(raw)
+    if descriptor is None:
+        descriptor = SegmentDescriptor.unpack(raw)
+        if len(_INTERNED) >= INTERN_CAPACITY:
+            _INTERNED.clear()
+        _INTERNED[raw] = descriptor
+    return descriptor
+
+
 def selector(index: int, rpl: int = 0) -> int:
     """Build a selector from a GDT index and requested privilege level."""
     return ((index & 0x3FFF) << 2) | (rpl & 0b11)
@@ -108,7 +133,9 @@ class GdtView:
     The CPU re-reads descriptors on every segment-register load, exactly
     like the hidden-cache reload on x86 — which is what lets a monitor
     rewrite the GDT under the guest (limit truncation) and have the new
-    limits take effect on the next reload.
+    limits take effect on the next reload.  Reads are interned
+    (:func:`intern_descriptor`): a rewritten entry reads back as a new
+    descriptor, an unchanged one as the same object.
     """
 
     def __init__(self, memory, base: int = 0, limit: int = 0) -> None:
@@ -128,7 +155,7 @@ class GdtView:
         if offset + DESCRIPTOR_SIZE > self.limit:
             raise IndexError(f"GDT index {index} beyond limit {self.limit}")
         raw = self._memory.read(self.base + offset, DESCRIPTOR_SIZE)
-        return SegmentDescriptor.unpack(raw)
+        return intern_descriptor(raw)
 
     def write(self, index: int, descriptor: SegmentDescriptor) -> None:
         offset = index * DESCRIPTOR_SIZE

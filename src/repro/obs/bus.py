@@ -31,8 +31,8 @@ another from the tree's tap points, including the monitor ring's
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from types import MappingProxyType
+from typing import Deque, Dict, Iterator, List, Mapping, NamedTuple, Optional
 
 from repro.obs.taps import TapPoint
 
@@ -56,13 +56,18 @@ CAT_NET = "net"
 CAT_FLEET = "fleet"
 CAT_SLO = "slo"
 
+#: ``args`` of a record built without any: empty, and read-only because
+#: every such record shares it.
+_NO_ARGS: Mapping = MappingProxyType({})
 
-@dataclass(frozen=True)
-class TraceRecord:
+
+class TraceRecord(NamedTuple):
     """One trace-bus event.
 
     ``dur`` is only meaningful for ``PH_COMPLETE`` events (a span whose
     duration was known at emission time, e.g. a cost-model charge).
+    A named tuple, not a frozen dataclass: just as immutable, and about
+    three times cheaper to build, which every emitted event pays.
     """
 
     seq: int
@@ -74,7 +79,7 @@ class TraceRecord:
     pc: int = 0
     ring: int = 0
     dur: int = 0
-    args: Dict = field(default_factory=dict)
+    args: Mapping = _NO_ARGS
 
     def format(self) -> str:
         extra = f" dur={self.dur}" if self.phase == PH_COMPLETE else ""

@@ -36,11 +36,11 @@ perf-layer scenarios where only the event queue advances.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import bus as _bus
 from repro.obs.bus import TraceBus
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import Counter, MetricsRegistry, global_registry
 
 
 class Tracer:
@@ -54,6 +54,10 @@ class Tracer:
         # Ring wraparound shows up as obs.bus.dropped (lazily created
         # on the first drop, so drop-free runs stay golden-stable).
         self.bus.bind_metrics(self.registry)
+        #: Each counter name's Counter, looked up in the registry once:
+        #: get-or-create returns the same object for a name until the
+        #: registry is cleared.
+        self._counters: Dict[str, Counter] = {}
         self._subscriptions: List[Tuple[object, object]] = []
         self._machine = None
         self._dispatcher = None
@@ -140,7 +144,10 @@ class Tracer:
         return cycle, machine.cpu.instret
 
     def _count(self, name: str) -> None:
-        self.registry.counter(name).inc()
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(name)
+        counter.inc()
 
     # -- tap callbacks -------------------------------------------------------
 

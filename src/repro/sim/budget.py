@@ -37,22 +37,26 @@ class CycleBudget:
         if hz <= 0:
             raise SimulationError(f"CPU frequency must be positive, got {hz}")
         self.hz = hz
-        self._charges: Dict[str, int] = defaultdict(int)
+        #: category -> cycles charged.  :meth:`reset` clears it in
+        #: place; the interpreter adds each instruction's (constant,
+        #: non-negative) cycles here directly instead of calling
+        #: :meth:`charge`.
+        self.ledger: Dict[str, int] = defaultdict(int)
 
     def charge(self, cycles: int, category: str = CAT_GUEST) -> None:
         """Record ``cycles`` of work in ``category``."""
         if cycles < 0:
             raise SimulationError(f"negative charge {cycles} ({category})")
-        self._charges[category] += cycles
+        self.ledger[category] += cycles
 
     @property
     def total(self) -> int:
         """Total busy cycles across every category except idle."""
-        return sum(v for k, v in self._charges.items() if k != CAT_IDLE)
+        return sum(v for k, v in self.ledger.items() if k != CAT_IDLE)
 
     def by_category(self) -> Dict[str, int]:
         """A copy of the per-category ledger."""
-        return dict(self._charges)
+        return dict(self.ledger)
 
     def load(self, elapsed_cycles: int) -> float:
         """CPU load over a window of ``elapsed_cycles`` simulated cycles.
@@ -75,19 +79,19 @@ class CycleBudget:
         return self.total / elapsed_cycles
 
     def reset(self) -> None:
-        self._charges.clear()
+        self.ledger.clear()
 
     def snapshot(self) -> "CycleBudget":
         """An independent copy (for windowed sampling)."""
         copy = CycleBudget(self.hz)
-        copy._charges = defaultdict(int, self._charges)
+        copy.ledger = defaultdict(int, self.ledger)
         return copy
 
     def delta_since(self, earlier: "CycleBudget") -> Dict[str, int]:
         """Per-category charges accumulated since ``earlier`` snapshot."""
         out: Dict[str, int] = {}
-        for key, value in self._charges.items():
-            diff = value - earlier._charges.get(key, 0)
+        for key, value in self.ledger.items():
+            diff = value - earlier.ledger.get(key, 0)
             if diff:
                 out[key] = diff
         return out

@@ -11,18 +11,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.taps import TapPoint
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: int
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -66,7 +58,9 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[_QueueEntry] = []
+        #: Heap of ``(time, seq, event)``: ``seq`` is unique, so tuple
+        #: order never compares two events.
+        self._heap: List[Tuple[int, int, Event]] = []
         self._counter = itertools.count()
         self.now: int = 0
         #: Multicast observation point notified as ``taps(time, name)``
@@ -77,7 +71,8 @@ class EventQueue:
         self.schedule_taps = TapPoint()
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.event.cancelled)
+        return sum(1 for _time, _seq, event in self._heap
+                   if not event._cancelled)
 
     def schedule_at(self, time: int, callback: Callable[[], None],
                     name: str = "") -> Event:
@@ -88,7 +83,7 @@ class EventQueue:
                 f"already at cycle {self.now}")
         event = Event(callback, name)
         event.time = time
-        heapq.heappush(self._heap, _QueueEntry(time, next(self._counter), event))
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         if self.schedule_taps:
             self.schedule_taps(time, event.name)
         return event
@@ -102,33 +97,40 @@ class EventQueue:
 
     def peek_time(self) -> Optional[int]:
         """Cycle of the next live event, or None when the queue is drained."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].event.cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2]._cancelled:
+                return entry[0]
+            heapq.heappop(heap)
+        return None
 
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return False
-        entry = heapq.heappop(self._heap)
-        self.now = entry.time
-        entry.event._fired = True
-        entry.event.callback()
-        return True
+        heap = self._heap
+        while heap:
+            time, _seq, event = heapq.heappop(heap)
+            if event._cancelled:
+                continue
+            self.now = time
+            event._fired = True
+            event.callback()
+            return True
+        return False
 
     def run_until(self, deadline: int) -> None:
         """Fire events up to and including ``deadline``, then set now=deadline."""
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > deadline:
+        heap = self._heap
+        # The head is the earliest entry, live or cancelled: when it is
+        # not yet due, nothing is.
+        while heap:
+            head = heap[0]
+            if head[0] > deadline:
                 break
-            self.step()
+            if head[2]._cancelled:
+                heapq.heappop(heap)
+            else:
+                self.step()
         if deadline > self.now:
             self.now = deadline
 

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.hw.seg import (
     DESCRIPTOR_SIZE,
     SegmentDescriptor,
+    intern_descriptor,
     selector_index,
     selector_rpl,
 )
@@ -95,7 +96,7 @@ class ShadowGdt:
     def read(self, index: int) -> SegmentDescriptor:
         raw = self._memory.read(self.base + index * DESCRIPTOR_SIZE,
                                 DESCRIPTOR_SIZE)
-        return SegmentDescriptor.unpack(raw)
+        return intern_descriptor(raw)
 
 
 def guest_can_reach(descriptor: SegmentDescriptor, offset: int,

@@ -1,9 +1,13 @@
-"""Property-based tests: paging, segmentation protection, cycle budget,
-and the event queue."""
+"""Property-based tests: paging, segmentation protection, the CPU's
+flat data path, cycle budget, the event queue and the PIC."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MemoryError_
+from repro.hw.bus import IoBus, MmioDevice
+from repro.hw.cpu import Cpu, CpuFault
+from repro.hw.isa import CR0_PG, SEG_DS, SEG_SS, VEC_GP
 from repro.hw.mem import PhysicalMemory
 from repro.hw.paging import (
     PAGE_SIZE,
@@ -12,6 +16,8 @@ from repro.hw.paging import (
     PageTableBuilder,
     span_pages,
 )
+from repro.hw.pic import PicPair
+from repro.hw.pit import Pit8254
 from repro.hw.seg import SegmentDescriptor
 from repro.sim.budget import CycleBudget
 from repro.sim.events import EventQueue
@@ -104,6 +110,195 @@ class TestProtectionProperties:
         assert shadowed.limit == reachable_before
 
 
+# -- the flat data path ---------------------------------------------------
+
+def reference_read(cpu, seg, offset, length):
+    """``Cpu.read_virtual`` as it was before the flat data path: every
+    access walks its pages, translating and routing each one."""
+    linear_addr = cpu.linear(seg, offset, length, write=False)
+    cpu._check_watchpoints(linear_addr, length, write=False)
+    chunks = []
+    for vaddr, chunk in span_pages(linear_addr, length):
+        paddr = cpu._physical(vaddr, write=False)
+        if cpu.bus.is_mmio(paddr):
+            if chunk not in (1, 2, 4):
+                raise CpuFault(VEC_GP, error_code=0)
+            value = cpu.bus.mmio_read(paddr, chunk)
+            chunks.append(value.to_bytes(chunk, "little"))
+        else:
+            chunks.append(cpu.memory.read(paddr, chunk))
+    return b"".join(chunks)
+
+
+def reference_write(cpu, seg, offset, data):
+    """``Cpu.write_virtual`` as it was before the flat data path."""
+    linear_addr = cpu.linear(seg, offset, len(data), write=True)
+    cpu._check_watchpoints(linear_addr, len(data), write=True)
+    cursor = 0
+    for vaddr, chunk in span_pages(linear_addr, len(data)):
+        paddr = cpu._physical(vaddr, write=True)
+        piece = data[cursor:cursor + chunk]
+        if cpu.bus.is_mmio(paddr):
+            if chunk not in (1, 2, 4):
+                raise CpuFault(VEC_GP, error_code=0)
+            cpu.bus.mmio_write(paddr, int.from_bytes(piece, "little"),
+                               chunk)
+        else:
+            cpu.memory.write(paddr, piece)
+        cursor += chunk
+
+
+class _LoggingMmio(MmioDevice):
+    def __init__(self) -> None:
+        self.calls = []
+
+    def mmio_read(self, offset, size):
+        self.calls.append(("read", offset, size))
+        return (offset * 0x01010101 + size) & ((1 << (8 * size)) - 1)
+
+    def mmio_write(self, offset, value, size):
+        self.calls.append(("write", offset, value, size))
+
+
+#: Installed RAM of the differential machines, and where their page
+#: tables live (above every page the tests map).
+_RAM = 64 * PAGE_SIZE
+_TABLES = 56 * PAGE_SIZE
+
+
+def _flat_machine(descriptor, seg, mmio, watchpoints, paging, hole):
+    memory = PhysicalMemory(_RAM)
+    memory.write(0, bytes(range(256)) * (_TABLES // 256))
+    bus = IoBus()
+    device = _LoggingMmio()
+    if mmio is not None:
+        bus.register_mmio(mmio[0], mmio[1], device, "probe")
+    cpu = Cpu(memory, bus, translate=False)
+    cpu.force_segment(seg, 0x10, descriptor)
+    cpu.watchpoints.extend(watchpoints)
+    if paging:
+        builder = PageTableBuilder(memory, alloc_base=_TABLES)
+        for page in range(_TABLES // PAGE_SIZE + 8):
+            if page != hole:
+                builder.map(page * PAGE_SIZE, page * PAGE_SIZE)
+        cpu.mmu.set_cr3(builder.directory)
+        cpu.crs[3] = builder.directory
+        cpu.crs[0] |= CR0_PG
+    return cpu, device
+
+
+def _outcome(action):
+    try:
+        return ("ok", action())
+    except CpuFault as fault:
+        return ("fault", fault.vector, fault.error_code,
+                fault.fault_address)
+    except MemoryError_:
+        return ("ram",)
+
+
+_near = st.integers(min_value=-8, max_value=8)
+
+
+@st.composite
+def _accesses(draw):
+    base = draw(st.integers(min_value=0, max_value=40) ) * PAGE_SIZE \
+        + draw(st.sampled_from([0, 1, 2, 3, 0x7FE, PAGE_SIZE - 2]))
+    limit = draw(st.one_of(
+        st.sampled_from([_RAM, _RAM + 0x10000, 0x1000, 0x1FFF]),
+        st.integers(min_value=0, max_value=_RAM + PAGE_SIZE)))
+    length = draw(st.one_of(st.sampled_from([1, 2, 4]),
+                            st.integers(min_value=0,
+                                        max_value=2 * PAGE_SIZE + 8)))
+    # Offsets cluster where behaviour changes: the segment limit and the
+    # page boundaries of the linear address.
+    offset = draw(st.one_of(
+        st.integers(min_value=0, max_value=max(0, limit - length)),
+        st.integers(min_value=0, max_value=limit + 8),
+        _near.map(lambda d: limit - length + d),
+        st.tuples(st.integers(min_value=0, max_value=24), _near).map(
+            lambda pd: pd[0] * PAGE_SIZE - base % PAGE_SIZE + pd[1])))
+    assume(offset >= 0)
+    # MMIO ranges and watchpoints land on or near the access itself, or
+    # anywhere in RAM.
+    linear = base + offset
+    near = st.integers(min_value=-16, max_value=length + 16).map(
+        lambda d: max(0, linear + d))
+    mmio = draw(st.one_of(st.none(), st.tuples(
+        st.one_of(near, st.integers(min_value=0, max_value=_RAM)),
+        st.sampled_from([1, 2, 4, 16, PAGE_SIZE, 3 * PAGE_SIZE]))))
+    watchpoints = draw(st.lists(st.tuples(
+        st.one_of(near, st.integers(min_value=0, max_value=_RAM)),
+        st.integers(min_value=1, max_value=16), st.booleans()),
+        max_size=2))
+    return dict(
+        descriptor=SegmentDescriptor(base=base, limit=limit, dpl=0,
+                                     writable=draw(st.booleans())),
+        seg=draw(st.sampled_from([SEG_DS, SEG_SS])),
+        offset=offset, length=length, mmio=mmio,
+        watchpoints=watchpoints, paging=draw(st.booleans()),
+        hole=draw(st.integers(min_value=0, max_value=_TABLES // PAGE_SIZE)))
+
+
+class TestFlatDataPath:
+    """``read_virtual``/``write_virtual`` equal the page-walking path on
+    every input: bytes, fault vector and error code, RAM contents, page
+    write generations and MMIO device calls.  Inputs mix paging on and
+    off, watchpoints, an MMIO range and accesses across segment limits
+    and page boundaries, so both the flat path and every way out of it
+    are taken."""
+
+    @staticmethod
+    def _pair(access):
+        keys = ("descriptor", "seg", "mmio", "watchpoints", "paging",
+                "hole")
+        config = {key: access[key] for key in keys}
+        return _flat_machine(**config), _flat_machine(**config)
+
+    @staticmethod
+    def _same_state(flat, reference):
+        (cpu_a, dev_a), (cpu_b, dev_b) = flat, reference
+        assert dev_a.calls == dev_b.calls
+        assert cpu_a.bus.mmio_accesses == cpu_b.bus.mmio_accesses
+        assert cpu_a.memory.page_gens == cpu_b.memory.page_gens
+        assert bytes(cpu_a.memory.view()) == bytes(cpu_b.memory.view())
+        assert cpu_a.crs == cpu_b.crs
+
+    @given(access=_accesses())
+    @settings(max_examples=300, deadline=None)
+    def test_read_matches_reference(self, access):
+        flat, reference = self._pair(access)
+        seg, offset, length = access["seg"], access["offset"], \
+            access["length"]
+        got = _outcome(lambda: flat[0].read_virtual(seg, offset, length))
+        want = _outcome(lambda: reference_read(reference[0], seg, offset,
+                                               length))
+        assert got == want
+        self._same_state(flat, reference)
+
+    @given(access=_accesses(), fill=st.integers(min_value=0, max_value=255))
+    @settings(max_examples=300, deadline=None)
+    def test_write_matches_reference(self, access, fill):
+        flat, reference = self._pair(access)
+        seg, offset = access["seg"], access["offset"]
+        data = bytes((fill + i) & 0xFF for i in range(access["length"]))
+        got = _outcome(lambda: flat[0].write_virtual(seg, offset, data))
+        want = _outcome(lambda: reference_write(reference[0], seg, offset,
+                                                data))
+        assert got == want
+        self._same_state(flat, reference)
+
+    def test_inputs_reach_the_flat_path(self):
+        """The flat path is taken at all: a plain in-page read under a
+        flat segment never walks the pages."""
+        cpu, _device = _flat_machine(
+            SegmentDescriptor(base=0, limit=_RAM, dpl=0), SEG_DS,
+            (_RAM, PAGE_SIZE), [], False, 0)
+        cpu._physical = None   # any page walk would fail loudly
+        assert cpu.read_virtual(SEG_DS, 0x1FFC, 4) == bytes(
+            [0xFC, 0xFD, 0xFE, 0xFF])
+
+
 class TestBudgetProperties:
     @given(charges=st.lists(
         st.tuples(st.sampled_from(["guest", "copy", "world_switch",
@@ -158,3 +353,89 @@ class TestEventQueueProperties:
                 expected.append(time)
         queue.run()
         assert fired == sorted(expected)
+
+    @given(times=st.lists(st.integers(min_value=0, max_value=20),
+                          min_size=1, max_size=30))
+    def test_same_time_events_fire_in_insertion_order(self, times):
+        queue = EventQueue()
+        fired = []
+        for index, time in enumerate(times):
+            queue.schedule_at(time, lambda i=index: fired.append(i))
+        queue.run()
+        assert fired == sorted(range(len(times)),
+                               key=lambda i: (times[i], i))
+
+    @given(times=st.lists(st.integers(min_value=0, max_value=1000),
+                          min_size=1, max_size=30),
+           cancel_mask=st.lists(st.booleans(), min_size=1, max_size=30),
+           deadline=st.integers(min_value=0, max_value=1100))
+    def test_cancelled_heads_are_dropped(self, times, cancel_mask,
+                                         deadline):
+        """``peek_time`` skips cancelled entries, ``run_until`` fires
+        exactly the live events due by its deadline, and ``__len__``
+        counts the live events left."""
+        queue = EventQueue()
+        fired = []
+        events = [queue.schedule_at(t, lambda t=t: fired.append(t))
+                  for t in times]
+        live = []
+        for event, time, cancel in zip(events, times,
+                                       cancel_mask * len(times)):
+            if cancel:
+                event.cancel()
+            else:
+                live.append(time)
+        assert len(queue) == len(live)
+        assert queue.peek_time() == (min(live) if live else None)
+        queue.run_until(deadline)
+        assert fired == sorted(t for t in live if t <= deadline)
+        assert queue.now == max([deadline] + fired)
+        later = sorted(t for t in live if t > deadline)
+        assert len(queue) == len(later)
+        assert queue.peek_time() == (later[0] if later else None)
+        assert all(event.fired == (event.time in fired
+                                   and not event.cancelled)
+                   for event in events)
+
+    @given(reload=st.integers(min_value=2, max_value=0xFFFF),
+           run_to=st.integers(min_value=0, max_value=10**6),
+           later=st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None)
+    def test_restore_rearms_timer_from_event_time(self, reload, run_to,
+                                                  later):
+        """A PIT snapshot carries its armed expiry as ``Event.time``
+        minus the queue clock; restoring on a queue further ahead
+        re-arms exactly that far into the new future."""
+        queue = EventQueue()
+        pit = Pit8254(queue, 1.26e9, lambda: None)
+        pit.port_write(3, 0x34, 1)
+        pit.port_write(0, reload & 0xFF, 1)
+        pit.port_write(0, reload >> 8, 1)
+        queue.run_until(run_to)
+        armed = pit._pending
+        state = pit.state()
+        assert state["pending_in"] == armed.time - queue.now
+        assert 0 < state["pending_in"] <= pit._period_cycles(pit._channels[0])
+
+        target = EventQueue()
+        target.run_until(run_to + later)
+        restored = Pit8254(target, 1.26e9, lambda: None)
+        restored.load_state(state)
+        assert restored.state() == state
+        assert restored._pending.time == target.now + state["pending_in"]
+        assert target.peek_time() == restored._pending.time
+        assert len(target) == 1
+
+
+class TestPicProperties:
+    @given(master=st.tuples(*[st.integers(min_value=0, max_value=255)] * 3),
+           slave=st.tuples(*[st.integers(min_value=0, max_value=255)] * 3))
+    def test_has_pending_agrees_with_pending_vector(self, master, slave):
+        """The quick ``has_pending`` (no unmasked master request means
+        nothing pending) agrees with the full priority resolution,
+        cascade included."""
+        pic = PicPair()
+        for chip, (irr, imr, isr) in ((pic.master, master),
+                                      (pic.slave, slave)):
+            chip.irr, chip.imr, chip.isr = irr, imr, isr
+        assert pic.has_pending() == (pic.pending_vector() is not None)
