@@ -721,7 +721,7 @@ class Cpu:
         Fast path: a decode-cache hit skips the segment check, the MMU
         walk and all byte slicing for both the opcode and body fetch.  A
         hit is valid only when (a) the CS descriptor is the one at fill
-        time (identity first: descriptors are interned per GDT, so every
+        time (identity first: descriptors are interned, so every
         reload of an unchanged entry yields the same object; value
         equality covers one installed some other way), (b) paging was in
         the same on/off state, (c) the backing physical pages' write

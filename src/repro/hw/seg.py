@@ -95,7 +95,7 @@ class SegmentDescriptor:
 #: shadow GDT and the CPU's GDTR read the same table through two views.
 _INTERNED: Dict[bytes, SegmentDescriptor] = {}
 #: Distinct raw entries interned before the table starts over.
-INTERN_CAPACITY = 256
+_INTERN_CAPACITY = 256
 
 
 def intern_descriptor(raw: bytes) -> SegmentDescriptor:
@@ -108,7 +108,7 @@ def intern_descriptor(raw: bytes) -> SegmentDescriptor:
     descriptor = _INTERNED.get(raw)
     if descriptor is None:
         descriptor = SegmentDescriptor.unpack(raw)
-        if len(_INTERNED) >= INTERN_CAPACITY:
+        if len(_INTERNED) >= _INTERN_CAPACITY:
             _INTERNED.clear()
         _INTERNED[raw] = descriptor
     return descriptor

@@ -202,7 +202,7 @@ _near = st.integers(min_value=-8, max_value=8)
 
 @st.composite
 def _accesses(draw):
-    base = draw(st.integers(min_value=0, max_value=40) ) * PAGE_SIZE \
+    base = draw(st.integers(min_value=0, max_value=40)) * PAGE_SIZE \
         + draw(st.sampled_from([0, 1, 2, 3, 0x7FE, PAGE_SIZE - 2]))
     limit = draw(st.one_of(
         st.sampled_from([_RAM, _RAM + 0x10000, 0x1000, 0x1FFF]),

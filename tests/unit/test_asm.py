@@ -221,6 +221,21 @@ class TestProgramApi:
         program = assemble(".org 0x10\n.space 6\n")
         assert program.end == 0x16
 
+    def test_cached_programs_do_not_share_mutable_parts(self):
+        """``assemble`` caches by (source, origin), but every call gets
+        its own symbols and listing: editing one program changes no
+        other, cached or not."""
+        source = "start:\n    NOP\nend:\n    HLT\n"
+        first = assemble(source, origin=0x100)
+        first.symbols["start"] = 0xDEAD
+        first.symbols["extra"] = 1
+        first.listing.clear()
+        second = assemble(source, origin=0x100)
+        assert second.symbols == {"start": 0x100, "end": 0x101}
+        assert second.listing and second.listing[0][0] == 0x100
+        assert second.image == first.image
+        assert assemble(source, origin=0x200).symbols["start"] == 0x200
+
 
 class TestAsmCli:
     def _write(self, tmp_path, text):

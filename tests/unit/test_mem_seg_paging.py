@@ -124,6 +124,22 @@ class TestGdtView:
         with pytest.raises(IndexError):
             gdt.read(2)
 
+    def test_reads_are_interned_by_raw_entry(self):
+        """Unchanged entries read back as one shared object (the CPU's
+        CS guards test identity); a rewritten entry as a new one."""
+        mem = PhysicalMemory(4096)
+        gdt = GdtView(mem, base=0x100, limit=4 * DESCRIPTOR_SIZE)
+        other_view = GdtView(mem, base=0x100, limit=4 * DESCRIPTOR_SIZE)
+        code = SegmentDescriptor(base=0, limit=0x1000, dpl=1, code=True)
+        gdt.write(1, code)
+        gdt.write(3, code)
+        first = gdt.read(1)
+        assert first is gdt.read(1) is gdt.read(3) is other_view.read(1)
+        gdt.write(1, code.truncated(0x800))
+        assert gdt.read(1) is not first
+        assert gdt.read(1) == code.truncated(0x800)
+        assert gdt.read(3) is first
+
 
 class TestSplitVaddr:
     def test_split(self):
