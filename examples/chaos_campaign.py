@@ -21,10 +21,9 @@ from repro.core import DebugSession
 from repro.faults import DiskInjector, FaultPlan, FaultRule
 from repro.guest.os import HiTactix
 from repro.hw import firmware
-from repro.hw.machine import Machine, MachineConfig
 from repro.perf.costmodel import DEFAULT_COST_MODEL
 from repro.obs.metrics import collect_fault
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.load import build_stack
 from repro.sim.events import cycles_for_seconds
 from repro.vmm.watchdog import DEGRADE_FULL, MonitorWatchdog
 
@@ -59,10 +58,7 @@ def act_one_determinism() -> None:
 def act_two_disk_errors() -> None:
     print("=" * 64)
     print("2) disk errors mid-stream: the workload degrades gracefully")
-    machine = Machine(MachineConfig())
-    machine.program_pic_defaults()
-    stack = make_stack("lvmm", machine)
-    dispatcher = InterruptDispatcher(machine, stack)
+    machine, stack, dispatcher = build_stack("lvmm")
     guest = HiTactix(machine, stack, 100e6)
     plan = FaultPlan(1234, rules=[
         FaultRule("disk*", "medium-error", probability=0.1,
@@ -73,12 +69,7 @@ def act_two_disk_errors() -> None:
     guest.start()
     dispatcher.dispatch_pending()
     deadline = cycles_for_seconds(0.3, DEFAULT_COST_MODEL.cpu_hz)
-    while True:
-        next_time = machine.queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        machine.queue.step()
-        dispatcher.dispatch_pending()
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
 
     stats = collect_fault(plan, devices={"hba": machine.hba})
     print(f"   faults injected: {stats['plan']['injected']}")

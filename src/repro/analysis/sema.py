@@ -15,10 +15,12 @@ validator uses:
 * expressions are hashable nested tuples (``("const", 3)``,
   ``("add", a, b)``, ``("cond", test, x, y)``, leaf symbols for the
   block-entry register file and flags and for post-handler havoc);
-* :func:`simplify` normalises (constant folding plus canonical
-  ordering of commutative chains), :func:`evaluate` runs an expression
+* :class:`Normalizer` simplifies (constant folding plus canonical
+  ordering of commutative chains over hash-consed nodes) and decides
+  equality of two expressions; :func:`evaluate` runs an expression
   concretely over unbounded Python ints — exactly the arithmetic the
-  generated superblock source performs;
+  generated superblock source performs — and is the plain reference
+  that ``Normalizer.evaluate`` is tested against;
 * :func:`inline_effect` builds the *reference* effect of one inlined
   instruction, and :func:`branch_conditions` the reference taken /
   not-taken predicates of one conditional branch, in the same algebraic
@@ -35,7 +37,7 @@ module honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.hw import isa
 
@@ -229,7 +231,7 @@ HANDLER_WRITES_FLAGS: FrozenSet[str] = frozenset({"DIV"})
 #: Leaf node kinds (their value comes from an environment).
 _LEAVES = ("init-reg", "init-flags", "hreg", "hflags")
 
-#: Commutative-associative operators canonicalised by simplify().
+#: Commutative-associative operators canonicalised by Normalizer.simplify().
 _COMMUTATIVE = ("add", "and", "or", "xor", "mul")
 
 _BINOPS: Dict[str, Any] = {
@@ -313,88 +315,13 @@ def _sort_key(expr: Expr) -> str:
     return repr(expr)
 
 
-def simplify(expr: Expr) -> Expr:
-    """Normalise: fold constants, canonicalise commutative chains."""
-    op = expr[0]
-    if op == "const" or op in _LEAVES:
-        return expr
-    if op in ("truthy", "not", "invert", "neg", "eq0"):
-        inner = simplify(expr[1])
-        if inner[0] == "const":
-            value = int(inner[1])
-            if op == "truthy":
-                return ("const-b", value != 0)
-            if op == "eq0":
-                return ("const-b", value == 0)
-            if op == "invert":
-                return const(~value)
-            if op == "neg":
-                return const(-value)
-        if op == "not" and inner[0] == "const-b":
-            return ("const-b", not inner[1])
-        return (op, inner)
-    if op in ("lt",):
-        a, b = simplify(expr[1]), simplify(expr[2])
-        if a[0] == "const" and b[0] == "const":
-            return ("const-b", int(a[1]) < int(b[1]))
-        return (op, a, b)
-    if op in ("or-b", "and-b"):
-        a, b = simplify(expr[1]), simplify(expr[2])
-        return (op, a, b)
-    if op == "cond":
-        test = simplify(expr[1])
-        then, other = simplify(expr[2]), simplify(expr[3])
-        if test[0] == "const-b":
-            return then if test[1] else other
-        return ("cond", test, then, other)
-    if op in _BINOPS:
-        a, b = simplify(expr[1]), simplify(expr[2])
-        if a[0] == "const" and b[0] == "const":
-            return const(int(_BINOPS[op](int(a[1]), int(b[1]))))
-        if op in _COMMUTATIVE:
-            terms = _flatten(op, a) + _flatten(op, b)
-            constants = [int(t[1]) for t in terms if t[0] == "const"]
-            symbolic = sorted((t for t in terms if t[0] != "const"),
-                              key=_sort_key)
-            if constants:
-                folded = constants[0]
-                for value in constants[1:]:
-                    folded = int(_BINOPS[op](folded, value))
-                symbolic = symbolic + [const(folded)]
-            out = symbolic[0]
-            for term in symbolic[1:]:
-                out = (op, out, term)
-            return out
-        return (op, a, b)
-    raise SemaError(f"cannot simplify {expr!r}")
-
-
-def _flatten(op: str, expr: Expr) -> List[Expr]:
-    if expr[0] == op:
-        return _flatten(op, expr[1]) + _flatten(op, expr[2])
-    return [expr]
-
-
-def leaves(expr: Expr) -> Iterator[Expr]:
-    """All leaf symbols in an expression."""
-    op = expr[0]
-    if op in _LEAVES:
-        yield expr
-    elif op in ("const", "const-b"):
-        return
-    else:
-        for child in expr[1:]:
-            if isinstance(child, tuple):
-                yield from leaves(child)
-
-
 # ---------------------------------------------------------------------------
-# Hash-consing normaliser (DAG-scale simplify/evaluate)
+# Hash-consing normaliser (simplify, evaluate, equal)
 # ---------------------------------------------------------------------------
 
 
 class Normalizer:
-    """Memoising, hash-consing :func:`simplify`/:func:`evaluate`.
+    """Memoising, hash-consing simplifier, evaluator and equality test.
 
     The tuple IR is a tree; expressions produced by symbolically
     executing a whole superblock share subterms heavily (every flag
@@ -410,7 +337,8 @@ class Normalizer:
     Both expressions of a comparison must be simplified by the same
     ``Normalizer`` for the identity check to be meaningful.
 
-    One rule goes beyond :func:`simplify`: in ``(x | y) & c`` an
+    Besides constant folding and canonical ordering of commutative
+    chains, one rule prunes masks: in ``(x | y) & c`` an
     or-term ``y`` whose every possible bit is cleared by ``c`` is
     dropped (bit bounds from :meth:`_bound`, leaves being 32-bit
     register values).  A flag formula the translator drops because the
@@ -456,7 +384,8 @@ class Normalizer:
         return terms
 
     def simplify(self, expr: Expr) -> Expr:
-        """Canonicalise; same rules as module-level :func:`simplify`."""
+        """Canonicalise: fold constants, order commutative chains by
+        intern serial, prune masked or-terms."""
         got = self._simplified.get(id(expr))
         if got is not None:
             return got
@@ -730,7 +659,14 @@ class Normalizer:
     def equal(self, a: Expr, b: Expr,
               boolean: bool = False) -> Tuple[bool, str,
                                               Optional[Dict[Expr, int]]]:
-        """Like :func:`exprs_equal`, memoised over the shared DAG."""
+        """Decide equivalence of two expressions.
+
+        Returns ``(equal, how, witness)`` where ``how`` is
+        ``"syntactic"`` (canonical forms are the same node — a proof),
+        ``"concrete"`` (they differ but every battery environment
+        agrees), or ``"refuted"`` with the counterexample environment
+        as ``witness``.
+        """
         na, nb = self.simplify(a), self.simplify(b)
         if na is nb:
             return True, "syntactic", None
@@ -995,39 +931,3 @@ def branch_conditions(mnemonic: str, f: Expr) -> Tuple[Expr, Expr]:
         return table[mnemonic]
     except KeyError:
         raise SemaError(f"not a conditional branch: {mnemonic}") from None
-
-
-# ---------------------------------------------------------------------------
-# Equivalence helpers
-# ---------------------------------------------------------------------------
-
-
-def exprs_equal(a: Expr, b: Expr,
-                environments: Optional[List[Dict[Expr, int]]] = None,
-                boolean: bool = False) -> Tuple[bool, str, Optional[Dict[Expr, int]]]:
-    """Decide equivalence of two expressions.
-
-    Returns ``(equal, how, witness)`` where ``how`` is ``"syntactic"``
-    (normal forms match — a proof), ``"concrete"`` (normal forms differ
-    but every battery environment agrees), or ``"refuted"`` with the
-    counterexample environment as ``witness``.
-    """
-    sa, sb = simplify(a), simplify(b)
-    if sa == sb:
-        return True, "syntactic", None
-    symbols = list(leaves(a)) + list(leaves(b))
-    if environments is None:
-        environments = battery_environments(symbols)
-    for env in environments:
-        local = dict(env)
-        for symbol in symbols:
-            local.setdefault(symbol, 0)
-        if boolean:
-            va: Any = evaluate_bool(a, local)
-            vb: Any = evaluate_bool(b, local)
-        else:
-            va = evaluate(a, local)
-            vb = evaluate(b, local)
-        if va != vb:
-            return False, "refuted", local
-    return True, "concrete", None

@@ -48,12 +48,12 @@ from repro.faults.injectors import (
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.guest.os import HiTactix
 from repro.hw import firmware
-from repro.hw.machine import Machine, MachineConfig
+from repro.hw.machine import Machine
 from repro.hw.uart import HostSerialPort
 from repro.perf.costmodel import DEFAULT_COST_MODEL
 from repro.obs.metrics import collect_fault
 from repro.replay import FlightRecorder, save_journal
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.load import build_stack
 from repro.rsp.client import RetryPolicy, RspClient
 from repro.rsp.stub import DebugStub
 from repro.rsp.target import NUM_REPORTED_REGS, CpuTargetAdapter
@@ -126,25 +126,14 @@ def _run_streaming(attach: Callable[[Machine], None]) -> Tuple[Machine,
                                                                HiTactix]:
     """One streaming window on the lvmm stack with injectors attached."""
     cost = DEFAULT_COST_MODEL
-    machine = Machine(MachineConfig(cpu_hz=cost.cpu_hz))
-    machine.program_pic_defaults()
-    stack = make_stack("lvmm", machine, cost)
-    dispatcher = InterruptDispatcher(machine, stack)
+    machine, stack, dispatcher = build_stack("lvmm", cost)
     guest = HiTactix(machine, stack, STREAM_RATE_BPS, cost)
     attach(machine)
     guest.register_handlers(dispatcher)
     guest.start()
     dispatcher.dispatch_pending()
     deadline = cycles_for_seconds(SIM_SECONDS, cost.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
     return machine, guest
 
 

@@ -57,10 +57,6 @@ _FORMAT_LENGTHS = {
 # decoded-instruction cache skip all byte slicing on the hot path.
 
 
-def _dec_none(body: bytes):
-    return None
-
-
 def _dec_r(body: bytes) -> int:
     return body[0] & 0x7
 

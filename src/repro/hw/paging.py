@@ -232,10 +232,6 @@ class PageTableBuilder:
         self._memory.fill(addr, PAGE_SIZE, 0)
         return addr
 
-    @property
-    def bytes_used(self) -> int:
-        return self._next_free - self.directory
-
     def map(self, vaddr: int, paddr: int, writable: bool = True,
             user: bool = False) -> None:
         """Map one 4 KiB page."""

@@ -147,9 +147,6 @@ class GdtView:
         self.base = base
         self.limit = limit
 
-    def descriptor_count(self) -> int:
-        return self.limit // DESCRIPTOR_SIZE
-
     def read(self, index: int) -> SegmentDescriptor:
         offset = index * DESCRIPTOR_SIZE
         if offset + DESCRIPTOR_SIZE > self.limit:

@@ -68,16 +68,12 @@ def record_streaming(seed: int = DEFAULT_SEED,
     from repro.faults.injectors import DiskInjector
     from repro.faults.plan import FaultPlan, FaultRule
     from repro.guest.os import HiTactix
-    from repro.hw.machine import Machine, MachineConfig
     from repro.perf.costmodel import DEFAULT_COST_MODEL
-    from repro.perf.stacks import InterruptDispatcher, make_stack
+    from repro.perf.load import build_stack
     from repro.sim.events import cycles_for_seconds
 
     cost = DEFAULT_COST_MODEL
-    machine = Machine(MachineConfig(cpu_hz=cost.cpu_hz))
-    machine.program_pic_defaults()
-    stack = make_stack("lvmm", machine, cost)
-    dispatcher = InterruptDispatcher(machine, stack)
+    machine, stack, dispatcher = build_stack("lvmm", cost)
     guest = HiTactix(machine, stack, rate_bps, cost)
     plan = FaultPlan(seed, rules=[
         FaultRule("disk*", "medium-error", probability=0.05, max_fires=4),
@@ -93,15 +89,7 @@ def record_streaming(seed: int = DEFAULT_SEED,
     guest.start()
     dispatcher.dispatch_pending()
     deadline = cycles_for_seconds(sim_seconds, cost.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
     plan.disarm()
 
     # Post-window debugger probe: RSP packets land in the trace.

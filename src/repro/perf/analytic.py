@@ -18,14 +18,18 @@ Event-count derivation (per second, at payload rate ``R`` bytes/s):
 
 Per-event cost tallies mirror the driver code paths in
 :mod:`repro.guest.drivers` one for one (each ``privileged_op``, EOI
-write, register access and ISR is itemised below).
+write, register access and ISR is itemised below).  What each stack
+adds per interrupt, privileged op, trapped PIC access, device access
+and copied DMA byte is written once, in :func:`stack_load`;
+:mod:`repro.perf.netmodel` prices its measured TCP event counts with
+it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
 
@@ -108,50 +112,68 @@ def _privileged_ops(rates: EventRates) -> float:
             + 2 * rates.disk_requests_per_sec)
 
 
+def stack_load(stack: str, guest_cycles: float, cost: CostModel, *,
+               interrupts: float, privileged: float, pic_accesses: float,
+               device_accesses: Sequence[float],
+               copied_bytes: float) -> float:
+    """Demanded CPU load: the guest's own cycles/s plus ``stack``'s price.
+
+    Every count is per second.  ``device_accesses`` holds the accesses
+    to each device other than the PIC (passed through by the LVMM,
+    hosted by the full VMM); ``copied_bytes`` is the DMA data the full
+    VMM copies through its bounce buffers.  Both the closed-form model
+    and :mod:`repro.perf.netmodel` price their event counts here.
+    """
+    cycles = guest_cycles
+    if stack == "bare":
+        cycles += interrupts * cost.interrupt_deliver_cycles
+        cycles += privileged * PRIV_BARE
+        # One left-to-right sum, PIC first: a different grouping moves
+        # the float result.
+        cycles += sum((pic_accesses, *device_accesses)) \
+            * cost.device_access_cycles
+    elif stack in ("lvmm", "fullvmm"):
+        cycles += interrupts * (cost.world_switch_cycles
+                                + cost.pic_emulation_cycles
+                                + cost.interrupt_reflect_cycles)
+        cycles += privileged * (cost.world_switch_cycles + PRIV_EMU)
+        # Intercepted PIC accesses trap + run the 8259 model.
+        cycles += pic_accesses * (cost.world_switch_cycles
+                                  + cost.pic_emulation_cycles)
+        if stack == "lvmm":
+            # Other devices pass through at hardware latency.
+            cycles += sum(device_accesses) * cost.device_access_cycles
+        else:
+            # Hosted path for every device access + interrupt double hop
+            # + bounce-buffer copies of the DMA data.
+            cycles += sum(device_accesses) * cost.host_switch_cycles
+            cycles += interrupts * (
+                cost.interrupt_host_trips * cost.host_switch_cycles
+                + cost.pic_emulation_cycles
+                + cost.interrupt_reflect_cycles
+                - cost.lvmm_interrupt_cost())
+            cycles += copied_bytes * cost.emulation_copy_byte_cycles
+    else:
+        raise ValueError(f"unknown stack {stack!r}")
+    return cycles / cost.cpu_hz
+
+
 def predict_demanded_load(stack: str, rate_bps: float,
                           cost: Optional[CostModel] = None) -> float:
     """Closed-form demanded CPU load for one stack at one rate."""
     cost = cost or DEFAULT_COST_MODEL
     rates = EventRates.at_rate(rate_bps, cost)
     accesses = _itemise_accesses(rates)
-    interrupts = (rates.nic_interrupts_per_sec
-                  + rates.disk_requests_per_sec + rates.ticks_per_sec)
-    cycles = _guest_common(rates, rate_bps, cost)
-
-    if stack == "bare":
-        cycles += interrupts * cost.interrupt_deliver_cycles
-        cycles += _privileged_ops(rates) * PRIV_BARE
-        cycles += sum(accesses.values()) * cost.device_access_cycles
-    elif stack in ("lvmm", "fullvmm"):
-        cycles += interrupts * (cost.world_switch_cycles
-                                + cost.pic_emulation_cycles
-                                + cost.interrupt_reflect_cycles)
-        cycles += _privileged_ops(rates) * (cost.world_switch_cycles
-                                            + PRIV_EMU)
-        # Intercepted PIC accesses trap + run the 8259 model.
-        cycles += accesses["pic"] * (cost.world_switch_cycles
-                                     + cost.pic_emulation_cycles)
-        if stack == "lvmm":
-            # SCSI/NIC pass through at hardware latency.
-            cycles += (accesses["scsi"] + accesses["nic"]) \
-                * cost.device_access_cycles
-        else:
-            # Hosted path for every device access + interrupt double hop
-            # + bounce-buffer copies of all DMA data (both directions).
-            cycles += (accesses["scsi"] + accesses["nic"]) \
-                * cost.host_switch_cycles
-            cycles += interrupts * (
-                cost.interrupt_host_trips * cost.host_switch_cycles
-                + cost.pic_emulation_cycles
-                + cost.interrupt_reflect_cycles
-                - cost.lvmm_interrupt_cost())
-            bytes_per_sec = rate_bps / 8.0
-            # 2x for the disk DMA and 2x for the NIC frames (the frame
-            # stream includes per-frame headers, approximated as payload).
-            cycles += 4 * bytes_per_sec * cost.emulation_copy_byte_cycles
-    else:
-        raise ValueError(f"unknown stack {stack!r}")
-    return cycles / cost.cpu_hz
+    return stack_load(
+        stack, _guest_common(rates, rate_bps, cost), cost,
+        interrupts=(rates.nic_interrupts_per_sec
+                    + rates.disk_requests_per_sec + rates.ticks_per_sec),
+        privileged=_privileged_ops(rates),
+        pic_accesses=accesses["pic"],
+        device_accesses=(accesses["scsi"], accesses["nic"]),
+        # 2x for the disk DMA and 2x for the NIC frames (the frame
+        # stream includes per-frame headers, approximated as payload).
+        copied_bytes=4 * (rate_bps / 8.0))
 
 
 def predict_max_rate(stack: str,

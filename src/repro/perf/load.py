@@ -4,13 +4,30 @@ target rate for a window of simulated time and account every cycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.guest.os import HiTactix
 from repro.hw.machine import Machine, MachineConfig
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.stacks import InterruptDispatcher, PerfStack, make_stack
 from repro.sim.events import cycles_for_seconds
+
+
+def build_stack(stack_name: str, cost: Optional[CostModel] = None,
+                machine_config: Optional[MachineConfig] = None
+                ) -> Tuple[Machine, PerfStack, InterruptDispatcher]:
+    """A machine with its PIC programmed, one stack over it, and the
+    dispatcher that delivers the machine's interrupts through that stack.
+
+    Attach injectors, tracers or a NIC wire to the machine before the
+    guest starts; then run a window with
+    ``machine.queue.run_until(deadline, dispatcher.dispatch_pending)``.
+    """
+    cost = cost or DEFAULT_COST_MODEL
+    machine = Machine(machine_config or MachineConfig(cpu_hz=cost.cpu_hz))
+    machine.program_pic_defaults()
+    stack = make_stack(stack_name, machine, cost)
+    return machine, stack, InterruptDispatcher(machine, stack)
 
 
 @dataclass
@@ -66,16 +83,13 @@ def measure_load(stack_name: str, rate_bps: float,
     stub steals the same service time from the guest directly.
     """
     cost = cost or DEFAULT_COST_MODEL
-    machine = Machine(machine_config or MachineConfig(cpu_hz=cost.cpu_hz))
+    machine, stack, dispatcher = build_stack(stack_name, cost,
+                                             machine_config)
     wire_bytes = [0]
     if machine.nic is None:
         raise ValueError("the data-transfer workload needs a NIC")
     machine.nic.wire = lambda frame: wire_bytes.__setitem__(
         0, wire_bytes[0] + len(frame))
-    machine.program_pic_defaults()
-
-    stack = make_stack(stack_name, machine, cost)
-    dispatcher = InterruptDispatcher(machine, stack)
     guest = HiTactix(machine, stack, rate_bps, cost,
                      **(guest_kwargs or {}))
     guest.register_handlers(dispatcher)
@@ -102,15 +116,7 @@ def measure_load(stack_name: str, rate_bps: float,
         machine.queue.schedule_in(interval, poll, name="debug-poll")
 
     deadline = cycles_for_seconds(sim_seconds, cost.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
 
     demanded = machine.budget.demanded_load(deadline)
     achieved = wire_bytes[0] * 8 / sim_seconds

@@ -5,10 +5,9 @@ derives arithmetically.  This module goes one step closer to a
 measurement: it *runs* the deterministic multi-client TCP workload
 (:mod:`repro.workloads.streaming`) once per rate point, extracts the
 event counts that actually occurred — frames on each wire, TCP
-segments, post-coalescing NIC interrupts, handshakes — and charges
-each event with the per-stack costs of :mod:`repro.perf.costmodel`,
-mirroring the stack branches of ``analytic.predict_demanded_load``
-one for one:
+segments, post-coalescing NIC interrupts, handshakes — adds the
+guest's protocol work, and prices the counts on each stack with
+``analytic.stack_load``, the same function the closed-form model uses:
 
 * ``bare``     — passthrough: hardware interrupt delivery, direct
   device register access, 3-cycle CLI/STI;
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hw.nic import LINE_RATE_BPS
-from repro.perf.analytic import PRIV_BARE, PRIV_EMU
+from repro.perf.analytic import stack_load
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.workloads.streaming import SubscriberSpec, run_tcp_streaming
 
@@ -142,17 +141,13 @@ def demanded_net_load(stack: str, events: NetEventCounts,
                       cost: Optional[CostModel] = None) -> float:
     """Price one stack's cycles/s for the measured event stream.
 
-    Branch structure mirrors ``analytic.predict_demanded_load``; the
-    access itemisation mirrors the NIC driver: one doorbell write per
-    transmitted frame, one ICR read per interrupt, tick EOI plus two
-    EOIs per NIC ISR on the PIC.
+    The guest-side protocol work is added here; the stack's price comes
+    from ``analytic.stack_load``.  The access itemisation mirrors the
+    NIC driver: one doorbell write per transmitted frame, one ICR read
+    per interrupt, tick EOI plus two EOIs per NIC ISR on the PIC.
     """
     cost = cost or DEFAULT_COST_MODEL
     interrupts = events.nic_interrupts + events.ticks
-    pic_accesses = events.ticks + 2 * events.nic_interrupts
-    nic_accesses = events.frames_tx + events.nic_interrupts
-    privileged = 2 * events.frames_tx + 2 * events.nic_interrupts
-
     # Guest-side protocol work, identical on every stack.
     cycles = (
         (events.bytes_tx + events.bytes_rx) * cost.guest_byte_cycles
@@ -162,34 +157,15 @@ def demanded_net_load(stack: str, events: NetEventCounts,
         + events.ticks * cost.guest_tick_cycles
         + interrupts * cost.guest_interrupt_cycles
     )
-
-    if stack == "bare":
-        cycles += interrupts * cost.interrupt_deliver_cycles
-        cycles += privileged * PRIV_BARE
-        cycles += (pic_accesses + nic_accesses) * cost.device_access_cycles
-    elif stack in ("lvmm", "fullvmm"):
-        cycles += interrupts * (cost.world_switch_cycles
-                                + cost.pic_emulation_cycles
-                                + cost.interrupt_reflect_cycles)
-        cycles += privileged * (cost.world_switch_cycles + PRIV_EMU)
-        cycles += pic_accesses * (cost.world_switch_cycles
-                                  + cost.pic_emulation_cycles)
-        if stack == "lvmm":
-            cycles += nic_accesses * cost.device_access_cycles
-        else:
-            cycles += nic_accesses * cost.host_switch_cycles
-            cycles += interrupts * (
-                cost.interrupt_host_trips * cost.host_switch_cycles
-                + cost.pic_emulation_cycles
-                + cost.interrupt_reflect_cycles
-                - cost.lvmm_interrupt_cost())
-            # Bounce-buffer copies: each payload byte crosses the
-            # guest->VMM->host boundary twice in each direction.
-            cycles += 2 * (events.bytes_tx + events.bytes_rx) \
-                * cost.emulation_copy_byte_cycles
-    else:
-        raise ValueError(f"unknown stack {stack!r}")
-    return cycles / cost.cpu_hz
+    return stack_load(
+        stack, cycles, cost,
+        interrupts=interrupts,
+        privileged=2 * events.frames_tx + 2 * events.nic_interrupts,
+        pic_accesses=events.ticks + 2 * events.nic_interrupts,
+        device_accesses=(events.frames_tx + events.nic_interrupts,),
+        # Bounce-buffer copies: each payload byte crosses the
+        # guest->VMM->host boundary twice in each direction.
+        copied_bytes=2 * (events.bytes_tx + events.bytes_rx))
 
 
 def sweep_net(rates_mbps: Sequence[float] = DEFAULT_NET_RATES_MBPS,

@@ -118,8 +118,15 @@ class EventQueue:
             return True
         return False
 
-    def run_until(self, deadline: int) -> None:
-        """Fire events up to and including ``deadline``, then set now=deadline."""
+    def run_until(self, deadline: int,
+                  after_event: Optional[Callable[[], None]] = None) -> None:
+        """Fire events up to and including ``deadline``, then set now=deadline.
+
+        ``after_event``, when given, is called after each fired event:
+        the performance layer passes its dispatcher's
+        ``dispatch_pending`` so that interrupts an event raised reach
+        the guest's ISRs before the next event fires.
+        """
         heap = self._heap
         # The head is the earliest entry, live or cancelled: when it is
         # not yet due, nothing is.
@@ -131,6 +138,8 @@ class EventQueue:
                 heapq.heappop(heap)
             else:
                 self.step()
+                if after_event is not None:
+                    after_event()
         if deadline > self.now:
             self.now = deadline
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.guest.os import HiTactix
-from repro.hw.machine import Machine, MachineConfig
+from repro.hw.machine import MachineConfig
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.load import build_stack
 from repro.sim.events import cycles_for_seconds
 
 
@@ -30,29 +30,12 @@ class MicroResult:
         return min(1.0, self.demanded_load)
 
 
-def _run(machine: Machine, stack, dispatcher, cost: CostModel,
-         sim_seconds: float) -> int:
-    deadline = cycles_for_seconds(sim_seconds, cost.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
-    return deadline
-
-
 def disk_only(stack_name: str, sim_seconds: float = 0.3,
               cost: Optional[CostModel] = None) -> MicroResult:
     """Stream reads from all disks as fast as they go; no network."""
     cost = cost or DEFAULT_COST_MODEL
-    machine = Machine(MachineConfig(cpu_hz=cost.cpu_hz, with_nic=False))
-    machine.program_pic_defaults()
-    stack = make_stack(stack_name, machine, cost)
-    dispatcher = InterruptDispatcher(machine, stack)
+    machine, stack, dispatcher = build_stack(
+        stack_name, cost, MachineConfig(cpu_hz=cost.cpu_hz, with_nic=False))
 
     from repro.guest.drivers.scsi import GuestScsiDriver
     driver = GuestScsiDriver(machine, stack)
@@ -77,7 +60,8 @@ def disk_only(stack_name: str, sim_seconds: float = 0.3,
     dispatcher.register(11, driver.handle_interrupt)
     for target in range(len(machine.disks)):
         issue(target)
-    deadline = _run(machine, stack, dispatcher, cost, sim_seconds)
+    deadline = cycles_for_seconds(sim_seconds, cost.cpu_hz)
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
     return MicroResult(stack_name,
                        machine.budget.demanded_load(deadline),
                        state["bytes"], dispatcher.dispatched)
@@ -88,10 +72,8 @@ def net_only(stack_name: str, rate_bps: float,
              cost: Optional[CostModel] = None) -> MicroResult:
     """Paced UDP transmit from a prefilled buffer; no disk reads."""
     cost = cost or DEFAULT_COST_MODEL
-    machine = Machine(MachineConfig(cpu_hz=cost.cpu_hz, disks=[]))
-    machine.program_pic_defaults()
-    stack = make_stack(stack_name, machine, cost)
-    dispatcher = InterruptDispatcher(machine, stack)
+    machine, stack, dispatcher = build_stack(
+        stack_name, cost, MachineConfig(cpu_hz=cost.cpu_hz, disks=[]))
     guest = HiTactix(machine, stack, rate_bps, cost)
     guest.register_handlers(dispatcher)
     # No disks: hand the sender an inexhaustible pre-read buffer.
@@ -115,7 +97,8 @@ def net_only(stack_name: str, rate_bps: float,
     # Mark the stream permanently busy so the sender never tries to
     # refill it from a (non-existent) disk.
     guest.streams[0].busy = True
-    deadline = _run(machine, stack, dispatcher, cost, sim_seconds)
+    deadline = cycles_for_seconds(sim_seconds, cost.cpu_hz)
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
     return MicroResult(stack_name,
                        machine.budget.demanded_load(deadline),
                        guest.bytes_sent, dispatcher.dispatched)

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.guest.os import HiTactix
-from repro.hw.machine import Machine, MachineConfig
 from repro.hw.nic import LINE_RATE_BPS, WIRE_OVERHEAD_BYTES
 from repro.net.tcp import TcpConnection, TcpEndpoint
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.load import build_stack
 from repro.sim.events import EventQueue, cycles_for_seconds
 
 
@@ -127,28 +126,14 @@ def run_streaming(stack_name: str, session_rates_bps: Sequence[float],
                   cost: Optional[CostModel] = None) -> StreamingResult:
     """Serve the given sessions for a simulated window on one stack."""
     cost = cost or DEFAULT_COST_MODEL
-    machine = Machine(MachineConfig(cpu_hz=cost.cpu_hz))
-    machine.program_pic_defaults()
-    wire_bytes = [0]
-    machine.nic.wire = lambda frame: wire_bytes.__setitem__(
-        0, wire_bytes[0] + len(frame))
-    stack = make_stack(stack_name, machine, cost)
-    dispatcher = InterruptDispatcher(machine, stack)
+    machine, stack, dispatcher = build_stack(stack_name, cost)
     server = StreamingServer(machine, stack, session_rates_bps, cost)
     server.register_handlers(dispatcher)
     server.start()
     dispatcher.dispatch_pending()
 
     deadline = cycles_for_seconds(sim_seconds, cost.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
 
     for session in server.sessions:
         session._achieved = session.bytes_sent * 8 / sim_seconds

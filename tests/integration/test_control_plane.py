@@ -9,7 +9,6 @@ the data plane unperturbed.
 import pytest
 
 from repro.guest.os import HiTactix
-from repro.hw.machine import Machine, MachineConfig
 from repro.net import (
     ArpPacket,
     EthernetFrame,
@@ -19,7 +18,7 @@ from repro.net import (
     parse_mac,
 )
 from repro.perf.costmodel import DEFAULT_COST_MODEL
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.load import build_stack
 from repro.sim.events import cycles_for_seconds
 
 GUEST_MAC = parse_mac("02:00:00:00:00:10")
@@ -29,12 +28,9 @@ HOST_IP = parse_ipv4("10.0.0.99")
 
 
 def setup(stack_name="lvmm", rate=50e6):
-    machine = Machine(MachineConfig())
-    machine.program_pic_defaults()
+    machine, stack, dispatcher = build_stack(stack_name)
     wire = []
     machine.nic.wire = wire.append
-    stack = make_stack(stack_name, machine)
-    dispatcher = InterruptDispatcher(machine, stack)
     guest = HiTactix(machine, stack, rate)
     guest.enable_control_plane(GUEST_MAC, GUEST_IP)
     guest.register_handlers(dispatcher)
@@ -46,15 +42,7 @@ def setup(stack_name="lvmm", rate=50e6):
 def run_for(machine, dispatcher, seconds):
     deadline = machine.queue.now + cycles_for_seconds(
         seconds, DEFAULT_COST_MODEL.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
 
 
 def arp_request_frame(target_ip=GUEST_IP):

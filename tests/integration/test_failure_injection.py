@@ -10,38 +10,26 @@ import pytest
 from repro.faults import DiskInjector, FaultPlan, FaultRule
 from repro.guest.drivers.nic import GuestNicDriver
 from repro.guest.os import HiTactix
-from repro.hw.machine import Machine, MachineConfig
 from repro.perf.costmodel import DEFAULT_COST_MODEL
-from repro.perf.stacks import InterruptDispatcher, make_stack
+from repro.perf.load import build_stack
 from repro.sim.events import cycles_for_seconds
 
 
-def run_workload(machine, stack, guest, dispatcher, sim_seconds):
+def run_workload(machine, guest, dispatcher, sim_seconds):
     guest.register_handlers(dispatcher)
     guest.start()
     dispatcher.dispatch_pending()
     deadline = cycles_for_seconds(sim_seconds, DEFAULT_COST_MODEL.cpu_hz)
-    queue = machine.queue
-    while True:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > deadline:
-            break
-        queue.step()
-        dispatcher.dispatch_pending()
-    if deadline > queue.now:
-        queue.now = deadline
+    machine.queue.run_until(deadline, dispatcher.dispatch_pending)
 
 
 class TestDiskErrorRecovery:
     def _run_with_rules(self, rules, seed=7):
-        machine = Machine(MachineConfig())
-        machine.program_pic_defaults()
-        stack = make_stack("lvmm", machine)
-        dispatcher = InterruptDispatcher(machine, stack)
+        machine, stack, dispatcher = build_stack("lvmm")
         guest = HiTactix(machine, stack, 100e6)
         plan = FaultPlan(seed, rules=rules)
         DiskInjector(plan, machine.hba)
-        run_workload(machine, stack, guest, dispatcher, 0.4)
+        run_workload(machine, guest, dispatcher, 0.4)
         return guest, plan, machine
 
     def test_transient_error_retried_and_stream_continues(self):
@@ -77,12 +65,9 @@ class TestDiskErrorRecovery:
         assert len(plan.trace) == 3
 
     def test_error_free_run_has_no_retries(self):
-        machine = Machine(MachineConfig())
-        machine.program_pic_defaults()
-        stack = make_stack("lvmm", machine)
-        dispatcher = InterruptDispatcher(machine, stack)
+        machine, stack, dispatcher = build_stack("lvmm")
         guest = HiTactix(machine, stack, 100e6)
-        run_workload(machine, stack, guest, dispatcher, 0.3)
+        run_workload(machine, guest, dispatcher, 0.3)
         assert guest.read_errors == 0
         assert guest.read_retries == 0
 
@@ -91,9 +76,7 @@ class TestNicRingExhaustion:
     def test_tiny_ring_forces_backpressure(self):
         """A 16-slot ring cannot hold a 711-fragment segment: the
         driver reports ring-full and the OS holds the segment."""
-        machine = Machine(MachineConfig())
-        machine.program_pic_defaults()
-        stack = make_stack("bare", machine)
+        machine, stack, _ = build_stack("bare")
         driver = GuestNicDriver(machine, stack, ring_len=16)
         accepted = driver.send_segment(0x40_0000, 1024 * 1024)
         assert not accepted
@@ -101,9 +84,7 @@ class TestNicRingExhaustion:
         assert driver.frames_queued == 0  # all-or-nothing per segment
 
     def test_small_segments_fit_small_ring(self):
-        machine = Machine(MachineConfig())
-        machine.program_pic_defaults()
-        stack = make_stack("bare", machine)
+        machine, stack, _ = build_stack("bare")
         driver = GuestNicDriver(machine, stack, ring_len=16)
         assert driver.send_segment(0x40_0000, 8 * 1024)  # 6 fragments
         machine.queue.run()
@@ -112,13 +93,10 @@ class TestNicRingExhaustion:
     def test_blocked_segment_sent_after_drain(self):
         """The OS-level retry: a held segment goes out on a later tick
         once completions free the ring."""
-        machine = Machine(MachineConfig())
-        machine.program_pic_defaults()
-        stack = make_stack("bare", machine)
-        dispatcher = InterruptDispatcher(machine, stack)
+        machine, stack, dispatcher = build_stack("bare")
         guest = HiTactix(machine, stack, 50e6, segment_size=64 * 1024)
         guest.nic = GuestNicDriver(machine, stack, ring_len=64)
-        run_workload(machine, stack, guest, dispatcher, 0.4)
+        run_workload(machine, guest, dispatcher, 0.4)
         # Despite the cramped ring, the stream kept its rate.
         assert guest.segments_sent >= 30
         assert guest.nic.frames_reclaimed > 0

@@ -184,7 +184,7 @@ class TestSimplifyAndNormalizer:
     def test_constant_folding(self):
         expr = ("add", sema.const(3), ("add", sema.const(4),
                                        sema.reg(1)))
-        assert sema.simplify(expr) \
+        assert sema.Normalizer().simplify(expr) \
             == ("add", sema.reg(1), sema.const(7))
 
     def test_commutative_reordering_proves_equality(self):

@@ -89,6 +89,23 @@ class TestEventQueue:
         queue.run_until(20)
         assert fired == [20]
 
+    def test_run_until_calls_after_event_once_per_fired_event(self):
+        queue = EventQueue()
+        log = []
+        queue.schedule_at(10, lambda: log.append("event 10"))
+        queue.schedule_at(15, lambda: log.append("event 15")).cancel()
+        # An event the callback's work schedules, due before the
+        # deadline, fires in the same run.
+        queue.schedule_at(20, lambda: queue.schedule_at(
+            25, lambda: log.append("event 25")))
+        queue.schedule_at(40, lambda: log.append("event 40"))
+        queue.run_until(30, lambda: log.append(f"after {queue.now}"))
+        assert log == ["event 10", "after 10", "after 20",
+                       "event 25", "after 25"]
+        assert queue.now == 30
+        queue.run_until(35, lambda: log.append("never"))
+        assert log[-1] == "after 25"
+
     def test_runaway_detection(self):
         queue = EventQueue()
 
