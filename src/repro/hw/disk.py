@@ -17,11 +17,10 @@ from repro.errors import DeviceError
 
 BLOCK_SIZE = 512
 
-
-def _pattern_block(seed: int, lba: int) -> bytes:
-    """Deterministic 512-byte content for (seed, lba)."""
-    digest = hashlib.sha256(struct.pack("<QQ", seed, lba)).digest()
-    return (digest * ((BLOCK_SIZE // len(digest)) + 1))[:BLOCK_SIZE]
+#: A block's contents are the sha256 digest of its packed (seed, LBA)
+#: repeated to fill it; 32-byte digests tile 512 bytes exactly.
+_pack_seed_lba = struct.Struct("<QQ").pack
+_DIGESTS_PER_BLOCK = BLOCK_SIZE // hashlib.sha256().digest_size
 
 
 class Disk:
@@ -56,9 +55,10 @@ class Disk:
         self.bytes_read += count * BLOCK_SIZE
         overlay = self._overlay
         seed = self.seed
+        sha256, pack = hashlib.sha256, _pack_seed_lba
         return b"".join([
             data if (data := overlay.get(block)) is not None
-            else _pattern_block(seed, block)
+            else sha256(pack(seed, block)).digest() * _DIGESTS_PER_BLOCK
             for block in range(lba, lba + count)])
 
     def write_blocks(self, lba: int, data: bytes) -> None:

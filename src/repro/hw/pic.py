@@ -34,6 +34,21 @@ _ICW1_MARKER = 0x10
 _ICW1_NEED_ICW4 = 0x01
 
 
+def _priority_line(pending: int, isr: int) -> int:
+    """Fixed-priority resolution (IRQ0 highest) for one chip.
+
+    The lowest set bit of requests and in-service lines together
+    decides: a request there is delivered (its line is returned), an
+    in-service line there blocks every line below it, itself included
+    (-1, as when nothing is requested).
+    """
+    active = pending | isr
+    lowest = active & -active
+    if not pending or isr & lowest:
+        return -1
+    return lowest.bit_length() - 1
+
+
 class _Pic8259:
     """One 8259A chip."""
 
@@ -47,45 +62,21 @@ class _Pic8259:
         self._need_icw4 = False
         self._read_isr = False
 
-    # -- device side ------------------------------------------------------
-
-    def raise_irq(self, line: int) -> None:
-        self.irr |= 1 << line
-
-    def lower_irq(self, line: int) -> None:
-        self.irr &= ~(1 << line)
-
     # -- priority logic ------------------------------------------------------
 
     def highest_pending(self) -> Optional[int]:
         """Highest-priority unmasked request not blocked by in-service."""
-        pending = self.irr & ~self.imr
-        if not pending:
-            return None
-        for line in range(8):  # IRQ0 has highest priority
-            bit = 1 << line
-            if self.isr & bit:
-                # A higher- or equal-priority interrupt is in service.
-                return None
-            if pending & bit:
-                return line
-        return None
-
-    def acknowledge(self, line: int) -> None:
-        self.irr &= ~(1 << line)
-        self.isr |= 1 << line
+        line = _priority_line(self.irr & ~self.imr & 0xFF, self.isr)
+        return line if line >= 0 else None
 
     def eoi(self, command: int) -> None:
         if command & _OCW2_SPECIFIC:
             line = command & 0x07
             self.isr &= ~(1 << line)
             return
-        # Non-specific: clear the highest-priority in-service bit.
-        for bit_index in range(8):
-            bit = 1 << bit_index
-            if self.isr & bit:
-                self.isr &= ~bit
-                return
+        # Non-specific: clear the highest-priority (lowest) in-service bit.
+        isr = self.isr & 0xFF
+        self.isr &= ~(isr & -isr)
 
     # -- register interface ------------------------------------------------------
 
@@ -152,54 +143,74 @@ class PicPair(PortDevice):
         if self.raise_taps:
             self.raise_taps(irq)
         if irq < 8:
-            self.master.raise_irq(irq)
+            self.master.irr |= 1 << irq
         else:
-            self.slave.raise_irq(irq - 8)
-            self.master.raise_irq(CASCADE_IRQ)
+            self.slave.irr |= 1 << (irq - 8)
+            self.master.irr |= 1 << CASCADE_IRQ
 
     def lower_irq(self, irq: int) -> None:
         if irq < 8:
-            self.master.lower_irq(irq)
+            self.master.irr &= ~(1 << irq)
         else:
-            self.slave.lower_irq(irq - 8)
-            if not self.slave.irr:
-                self.master.lower_irq(CASCADE_IRQ)
+            slave = self.slave
+            slave.irr &= ~(1 << (irq - 8))
+            if not slave.irr:
+                self.master.irr &= ~(1 << CASCADE_IRQ)
 
     # -- CPU interface -----------------------------------------------------------
+
+    def _resolve(self) -> int:
+        """The line an INTA cycle would deliver now: 0-7 on the master,
+        8-15 on the slave, or -1 when nothing is deliverable.
+
+        The cascade line requests only while the slave has a
+        deliverable request, so a masked or blocked slave request does
+        not hold back the master's lower-priority lines 3-7.
+        """
+        master = self.master
+        pending = master.irr & ~master.imr & 0xFF
+        line = _priority_line(pending, master.isr)
+        if line == CASCADE_IRQ:
+            slave = self.slave
+            slave_line = _priority_line(slave.irr & ~slave.imr & 0xFF,
+                                        slave.isr)
+            if slave_line >= 0:
+                return slave_line + 8
+            line = _priority_line(pending & ~(1 << CASCADE_IRQ), master.isr)
+        return line
 
     def has_pending(self) -> bool:
         master = self.master
         if not master.irr & ~master.imr:
             return False   # the common case: nothing requested at all
-        return self.pending_vector() is not None
+        return self._resolve() >= 0
 
     def pending_vector(self) -> Optional[int]:
-        line = self.master.highest_pending()
-        if line is None:
+        line = self._resolve()
+        if line < 0:
             return None
-        if line == CASCADE_IRQ:
-            slave_line = self.slave.highest_pending()
-            if slave_line is None:
-                return None
-            return self.slave.vector_base + slave_line
-        return self.master.vector_base + line
+        if line < 8:
+            return self.master.vector_base + line
+        return self.slave.vector_base + line - 8
 
     def acknowledge(self) -> int:
-        """INTA cycle: commit the pending interrupt and return its vector."""
-        line = self.master.highest_pending()
-        if line is None:
+        """INTA cycle: commit the pending interrupt and return its vector.
+
+        A slave line also puts the cascade line in service on the master.
+        """
+        line = self._resolve()
+        if line < 0:
             raise RuntimeError("spurious acknowledge: no pending interrupt")
-        if line == CASCADE_IRQ:
-            slave_line = self.slave.highest_pending()
-            if slave_line is None:
-                raise RuntimeError("cascade raised with idle slave")
-            self.master.acknowledge(CASCADE_IRQ)
-            self.slave.acknowledge(slave_line)
-            self.delivered += 1
-            return self.slave.vector_base + slave_line
-        self.master.acknowledge(line)
         self.delivered += 1
-        return self.master.vector_base + line
+        master = self.master
+        if line >= 8:
+            master.irr &= ~(1 << CASCADE_IRQ)
+            master.isr |= 1 << CASCADE_IRQ
+            master = self.slave
+            line -= 8
+        master.irr &= ~(1 << line)
+        master.isr |= 1 << line
+        return master.vector_base + line
 
     # -- port interface ------------------------------------------------------------
     # The bus registers this device at base 0x20 (master, offsets 0-1) and

@@ -18,20 +18,31 @@ recorder.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable
 
 
-class TapPoint:
-    """One observation point: an ordered list of subscribers."""
+class TapPoint(list):
+    """One observation point: an ordered list of subscribers.
 
-    __slots__ = ("subscribers",)
+    A ``list`` subclass, so the call sites' ``if taps:`` is the
+    built-in list truthiness check rather than a Python-level
+    ``__bool__`` call.  Equality and hashing stay by identity: two
+    empty tap points are two different observation points.
+    """
 
-    def __init__(self) -> None:
-        self.subscribers: List[Callable] = []
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    @property
+    def subscribers(self) -> "TapPoint":
+        """The subscribers, in notification order (the tap itself)."""
+        return self
 
     def subscribe(self, callback: Callable) -> Callable:
         """Add an observer; returns it so callers can keep the handle."""
-        self.subscribers.append(callback)
+        self.append(callback)
         return callback
 
     def unsubscribe(self, callback: Callable) -> None:
@@ -41,19 +52,10 @@ class TapPoint:
         fresh ``obj.method`` reference — no stored handle needed.
         """
         try:
-            self.subscribers.remove(callback)
+            self.remove(callback)
         except ValueError:
             pass
 
-    def clear(self) -> None:
-        self.subscribers.clear()
-
-    def __bool__(self) -> bool:
-        return bool(self.subscribers)
-
-    def __len__(self) -> int:
-        return len(self.subscribers)
-
     def __call__(self, *args) -> None:
-        for callback in tuple(self.subscribers):
+        for callback in tuple(self):
             callback(*args)

@@ -112,7 +112,7 @@ class LvmmPerfStack(PerfStack):
         # Mirror into the virtual PIC so guest mask/EOI state is honest.
         pic = self.shadow.virtual_pic
         pic.raise_irq(line)
-        if pic.pending_vector() is not None:
+        if pic.has_pending():
             pic.acknowledge()
         # The monitor completes the real handshake itself.
         self._real_eoi(line)

@@ -26,6 +26,7 @@ LVMM_INTERCEPTED_PORTS: Set[int] = (
     | set(range(PORT_BASE_COM1, PORT_BASE_COM1 + 8))
 )
 
+_PIC_PORTS = (MASTER_CMD, MASTER_DATA, SLAVE_CMD, SLAVE_DATA)
 _EOI_BIT = 0x20
 _ICW1_BIT = 0x10
 
@@ -72,14 +73,17 @@ class LvmmIntercept(IoIntercept):
 
     # -- emulation ------------------------------------------------------------
 
+    def _virtual_chip(self, port: int):
+        """The guest's virtual 8259 behind a PIC port."""
+        pic = self._shadow.virtual_pic
+        return pic.master if port < SLAVE_CMD else pic.slave
+
     def emulate_port_read(self, port: int, size: int) -> int:
-        if port in (MASTER_CMD, MASTER_DATA, SLAVE_CMD, SLAVE_DATA):
+        if port in _PIC_PORTS:
             self.pic_accesses += 1
             self._charge(self._cost.pic_emulation_cycles)
-            chip = self._shadow.virtual_pic
-            target = chip.master_port() if port < SLAVE_CMD \
-                else chip.slave_port()
-            return target.port_read(port & 1, size)
+            chip = self._virtual_chip(port)
+            return chip.read_data() if port & 1 else chip.read_command()
         if PIT_BASE <= port < PIT_BASE + 4:
             self.pit_accesses += 1
             self._charge(self._cost.pit_emulation_cycles)
@@ -91,15 +95,16 @@ class LvmmIntercept(IoIntercept):
         return 0
 
     def emulate_port_write(self, port: int, value: int, size: int) -> None:
-        if port in (MASTER_CMD, MASTER_DATA, SLAVE_CMD, SLAVE_DATA):
+        if port in _PIC_PORTS:
             self.pic_accesses += 1
             self._charge(self._cost.pic_emulation_cycles)
-            chip = self._shadow.virtual_pic
-            target = chip.master_port() if port < SLAVE_CMD \
-                else chip.slave_port()
-            is_command = (port & 1) == 0
-            target.port_write(port & 1, value, size)
-            if is_command and value & _EOI_BIT and not value & _ICW1_BIT:
+            chip = self._virtual_chip(port)
+            value &= 0xFF
+            if port & 1:
+                chip.write_data(value)
+                return
+            chip.write_command(value)
+            if value & _EOI_BIT and not value & _ICW1_BIT:
                 self._handle_virtual_eoi()
             return
         if PIT_BASE <= port < PIT_BASE + 4:

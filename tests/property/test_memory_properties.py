@@ -16,12 +16,22 @@ from repro.hw.paging import (
     PageTableBuilder,
     span_pages,
 )
-from repro.hw.pic import PicPair
+from repro.hw.pic import (
+    MASTER_CMD,
+    MASTER_DATA,
+    SLAVE_CMD,
+    SLAVE_DATA,
+    PicPair,
+    standard_setup,
+)
 from repro.hw.pit import Pit8254
 from repro.hw.seg import SegmentDescriptor
+from repro.perf.costmodel import DEFAULT_COST_MODEL
 from repro.sim.budget import CycleBudget
 from repro.sim.events import EventQueue
+from repro.vmm.intercept import LvmmIntercept
 from repro.vmm.protect import compress_descriptor, guest_can_reach
+from repro.vmm.shadow import ShadowState
 
 import pytest
 
@@ -427,7 +437,151 @@ class TestEventQueueProperties:
         assert len(target) == 1
 
 
+def _ref_highest(irr, imr, isr, skip=0):
+    """Reference 8259 priority, bit by bit from IRQ0; lines in ``skip``
+    request nothing."""
+    pending = irr & ~imr & ~skip
+    if not pending:
+        return None
+    for line in range(8):
+        bit = 1 << line
+        if isr & bit:
+            return None   # a higher- or equal-priority line in service
+        if pending & bit:
+            return line
+    return None
+
+
+def _ref_eoi(isr, command):
+    """Reference OCW2 end-of-interrupt: the new ISR."""
+    if command & 0x40:   # specific
+        return isr & ~(1 << (command & 7))
+    for line in range(8):   # non-specific: the highest in service
+        if isr & (1 << line):
+            return isr & ~(1 << line)
+    return isr
+
+
+def _ref_line(master, slave):
+    """Reference pair resolution over (irr, imr, isr) tuples: 0-7 on
+    the master, 8-15 on the slave, None.  The cascade line (2) requests
+    only while the slave has a deliverable request."""
+    line = _ref_highest(*master)
+    if line == 2:
+        slave_line = _ref_highest(*slave)
+        if slave_line is not None:
+            return 8 + slave_line
+        line = _ref_highest(*master, skip=1 << 2)
+    return line
+
+
+_chip_regs = st.tuples(*[st.integers(min_value=0, max_value=255)] * 3)
+
+
+def _pair(master, slave, bases=(0, 0)):
+    pic = PicPair()
+    for chip, (irr, imr, isr), base in ((pic.master, master, bases[0]),
+                                        (pic.slave, slave, bases[1])):
+        chip.irr, chip.imr, chip.isr = irr, imr, isr
+        chip.vector_base = base
+    return pic
+
+
 class TestPicProperties:
+    @given(master=_chip_regs, slave=_chip_regs,
+           bases=st.tuples(*[st.integers(min_value=0, max_value=31)] * 2))
+    @settings(max_examples=300)
+    def test_resolution_and_acknowledge_match_reference(self, master, slave,
+                                                        bases):
+        """Random IRR/IMR/ISR on both chips: each chip's
+        ``highest_pending``, the pair's vector and the IRR/ISR left by
+        an acknowledge equal the bit-by-bit reference."""
+        bases = (bases[0] * 8, bases[1] * 8)
+        pic = _pair(master, slave, bases)
+        assert pic.master.highest_pending() == _ref_highest(*master)
+        assert pic.slave.highest_pending() == _ref_highest(*slave)
+        line = _ref_line(master, slave)
+        if line is None:
+            assert not pic.has_pending()
+            assert pic.pending_vector() is None
+            with pytest.raises(RuntimeError):
+                pic.acknowledge()
+            return
+        vector = bases[0] + line if line < 8 else bases[1] + line - 8
+        assert pic.has_pending()
+        assert pic.pending_vector() == vector
+        assert pic.acknowledge() == vector
+        (m_irr, _, m_isr), (s_irr, _, s_isr) = master, slave
+        if line >= 8:
+            s_irr &= ~(1 << (line - 8))
+            s_isr |= 1 << (line - 8)
+            line = 2
+        m_irr &= ~(1 << line)
+        m_isr |= 1 << line
+        assert (pic.master.irr, pic.master.isr) == (m_irr, m_isr)
+        assert (pic.slave.irr, pic.slave.isr) == (s_irr, s_isr)
+        assert pic.delivered == 1
+
+    @given(regs=_chip_regs, command=st.integers(min_value=0, max_value=255))
+    @settings(max_examples=300)
+    def test_command_byte_matches_reference(self, regs, command):
+        """Any command byte: ICW1 resets the chip, OCW3 only selects the
+        read-back register, OCW2 with the EOI bit ends an interrupt as
+        the reference does, and any other OCW2 changes nothing."""
+        irr, imr, isr = regs
+        pic = _pair(regs, (0, 0xFF, 0))
+        pic.master.write_command(command)
+        chip = pic.master
+        if command & 0x10:
+            expected = (0, 0, 0)
+        elif command & 0x08 or not command & 0x20:
+            expected = (irr, imr, isr)
+        else:
+            expected = (irr, imr, _ref_eoi(isr, command))
+        assert (chip.irr, chip.imr, chip.isr) == expected
+
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["read", "write", "raise", "ack"]),
+        st.sampled_from([MASTER_CMD, MASTER_DATA, SLAVE_CMD, SLAVE_DATA]),
+        st.integers(min_value=0, max_value=0x1FF)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_intercepted_ports_match_port_adapters(self, ops):
+        """Guest PIC reads and writes emulated by ``LvmmIntercept`` on
+        the virtual PIC leave it, and every value read, exactly as the
+        bus's port adapters leave a twin; EOI commands are the ones
+        that restore the virtual IF."""
+        shadow = ShadowState()
+        eois = []
+        intercept = LvmmIntercept(shadow, None, CycleBudget(),
+                                  DEFAULT_COST_MODEL,
+                                  on_virtual_eoi=lambda: eois.append(1))
+        pic, twin = shadow.virtual_pic, PicPair()
+        standard_setup(pic)
+        standard_setup(twin)
+        twin_eois = 0
+        for op, port, value in ops:
+            adapter = (twin.master_port() if port < SLAVE_CMD
+                       else twin.slave_port())
+            if op == "read":
+                assert intercept.emulate_port_read(port, 1) == \
+                    adapter.port_read(port & 1, 1)
+            elif op == "write":
+                intercept.emulate_port_write(port, value, 1)
+                adapter.port_write(port & 1, value, 1)
+                if not port & 1 and value & 0x20 and not value & 0x10:
+                    twin_eois += 1
+            elif op == "raise":
+                pic.raise_irq(value & 15)
+                twin.raise_irq(value & 15)
+            elif twin.has_pending():
+                assert pic.acknowledge() == twin.acknowledge()
+            else:
+                assert not pic.has_pending()
+            assert pic.state() == twin.state()
+        assert len(eois) == twin_eois
+        assert intercept.pic_accesses == sum(
+            op in ("read", "write") for op, _, _ in ops)
+
     @given(master=st.tuples(*[st.integers(min_value=0, max_value=255)] * 3),
            slave=st.tuples(*[st.integers(min_value=0, max_value=255)] * 3))
     def test_has_pending_agrees_with_pending_vector(self, master, slave):

@@ -85,6 +85,29 @@ class TestCascade:
         pic.raise_irq(11)
         assert pic.pending_vector() == 43
 
+    def test_masked_slave_request_does_not_starve_master(self, pic):
+        # The UART's IRQ4 must get through while a masked slave line
+        # (here the NIC's IRQ10) is requesting.
+        pic.slave.imr = 1 << 2
+        pic.raise_irq(10)
+        pic.raise_irq(4)
+        assert pic.has_pending()
+        assert pic.pending_vector() == 36
+        assert pic.acknowledge() == 36
+        assert pic.slave.isr == 0
+        assert pic.master.isr == 1 << 4
+        # Unmasked, the latched slave request outranks in-service IRQ4.
+        pic.slave.imr = 0
+        assert pic.acknowledge() == 42
+
+    def test_blocked_slave_request_does_not_starve_master(self, pic):
+        pic.raise_irq(10)
+        assert pic.acknowledge() == 42
+        pic.master_port().port_write(0, 0x20, 1)  # master EOI only
+        pic.raise_irq(11)   # blocked behind in-service IRQ10 on the slave
+        pic.raise_irq(5)
+        assert pic.acknowledge() == 37
+
     def test_lower_irq_clears_cascade_when_slave_idle(self, pic):
         pic.raise_irq(10)
         pic.lower_irq(10)

@@ -1,11 +1,13 @@
 """Unit tests for the disk model and the SCSI HBA."""
 
+import hashlib
+import random
 import struct
 
 import pytest
 
 from repro.errors import DeviceError
-from repro.hw.disk import BLOCK_SIZE, Disk, _pattern_block
+from repro.hw.disk import BLOCK_SIZE, Disk
 from repro.hw.mem import PhysicalMemory
 from repro.hw.scsi import (
     COMP_BAD_LBA,
@@ -29,6 +31,13 @@ from repro.hw.scsi import (
 from repro.sim.events import EventQueue
 
 CPU_HZ = 1.26e9
+
+
+def _pattern_block(seed, lba):
+    """The disk's block formula as first written: the (seed, lba)
+    digest repeated past 512 bytes and cut back to one block."""
+    digest = hashlib.sha256(struct.pack("<QQ", seed, lba)).digest()
+    return (digest * ((BLOCK_SIZE // len(digest)) + 1))[:BLOCK_SIZE]
 
 
 class TestDisk:
@@ -62,6 +71,32 @@ class TestDisk:
         assert disk.read_blocks(2, 8) == expected
         assert disk.reads == reads + 1
         assert disk.bytes_read == bytes_read + 8 * BLOCK_SIZE
+
+    def test_contents_match_the_reference_formula(self):
+        """Random seeds, ranges and overlays: every block read is the
+        overlay's copy or the reference formula's bytes."""
+        rng = random.Random(31)
+        for _ in range(40):
+            seed = rng.getrandbits(64)
+            disk = Disk(4096, seed=seed)
+            overlay = {}
+            for _ in range(rng.randrange(4)):
+                lba = rng.randrange(4096)
+                data = rng.randbytes(BLOCK_SIZE)
+                disk.write_blocks(lba, data)
+                overlay[lba] = data
+            lba = rng.choice(list(overlay) or [0]) - rng.randrange(3)
+            lba = min(max(lba, 0), 4096 - 80)
+            count = rng.randrange(80)
+            assert disk.read_blocks(lba, count) == b"".join(
+                overlay.get(block) or _pattern_block(seed, block)
+                for block in range(lba, lba + count))
+
+    def test_contents_pinned(self):
+        # sha256 of these 64 blocks as the disk model first produced them.
+        assert hashlib.sha256(Disk(1024, seed=0).read_blocks(0, 64)) \
+            .hexdigest() == ("2edfdca14a301625a67abbe493f9bc8b"
+                             "fa38150ced0e9f6aa1589d72961c83c9")
 
     def test_unaligned_write_rejected(self):
         disk = Disk(100)
