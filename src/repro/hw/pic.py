@@ -202,15 +202,15 @@ class PicPair(PortDevice):
         if line < 0:
             raise RuntimeError("spurious acknowledge: no pending interrupt")
         self.delivered += 1
-        master = self.master
+        chip = self.master
         if line >= 8:
-            master.irr &= ~(1 << CASCADE_IRQ)
-            master.isr |= 1 << CASCADE_IRQ
-            master = self.slave
+            chip.irr &= ~(1 << CASCADE_IRQ)
+            chip.isr |= 1 << CASCADE_IRQ
+            chip = self.slave
             line -= 8
-        master.irr &= ~(1 << line)
-        master.isr |= 1 << line
-        return master.vector_base + line
+        chip.irr &= ~(1 << line)
+        chip.isr |= 1 << line
+        return chip.vector_base + line
 
     # -- port interface ------------------------------------------------------------
     # The bus registers this device at base 0x20 (master, offsets 0-1) and

@@ -60,6 +60,14 @@ class TestTapPoint:
         tap.clear()
         assert not tap
 
+    def test_taps_compare_and_hash_by_identity(self):
+        first, second = TapPoint(), TapPoint()
+        assert first != second and not first == second
+        assert len({first, second}) == 2
+        assert first == first
+        first.subscribe(print)
+        assert first.subscribers is first and list(first) == [print]
+
 
 class TestTraceBusRing:
     def test_disabled_bus_records_nothing(self):
