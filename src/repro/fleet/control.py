@@ -13,8 +13,9 @@ one JSON reply until EOF:
     {"op": "slo"}
 
 Replies always carry ``"ok"``; errors carry ``"error"`` instead of
-crashing the control plane.  The server is polled from the fleet's
-owner loop, same as the mux — no threads.
+crashing the control plane, and are counted in ``rejected``.  The
+server is polled from the fleet's owner loop, same as the mux — no
+threads.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from typing import Dict, List, Tuple
 from repro.fleet.dashboard import build_dashboard
 from repro.fleet.jobs import Job, RetrySchedule
 
+#: Longest request accepted, newline included.
+MAX_REQUEST_BYTES = 64 * 1024
+
 
 class ControlServer:
     """Non-blocking one-shot request/response listener."""
@@ -33,16 +37,12 @@ class ControlServer:
     def __init__(self, fleet, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.fleet = fleet
-        self._listener = socket.socket(socket.AF_INET,
-                                       socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET,
-                                  socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(8)
+        self._listener = socket.create_server((host, port), backlog=8)
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
         self._pending: List[Tuple[socket.socket, bytearray]] = []
         self.requests = 0
+        self.rejected = 0   # requests answered with "ok": false
 
     def poll(self) -> None:
         while True:
@@ -64,6 +64,9 @@ class ControlServer:
                 continue
             if chunk:
                 buffer.extend(chunk)
+            if len(buffer) > MAX_REQUEST_BYTES:
+                self._reply(conn, {"ok": False, "error": "request too long"})
+                continue
             if b"\n" not in buffer and chunk:
                 still_pending.append((conn, buffer))
                 continue
@@ -73,16 +76,23 @@ class ControlServer:
     def _respond(self, conn: socket.socket, raw: bytes) -> None:
         try:
             request = json.loads(raw.decode("utf-8"))
+            if not isinstance(request, dict):
+                raise ValueError("request is not a JSON object")
             reply = self._handle(request)
         except Exception as exc:   # noqa: BLE001 — keep serving
             reply = {"ok": False,
                      "error": f"{type(exc).__name__}: {exc}"}
+        self._reply(conn, reply)
+
+    def _reply(self, conn: socket.socket, reply: Dict) -> None:
         try:
             conn.sendall(json.dumps(reply).encode("utf-8") + b"\n")
         except OSError:
             pass
         conn.close()
         self.requests += 1
+        if not reply["ok"]:
+            self.rejected += 1
 
     def _handle(self, request: Dict) -> Dict:
         op = request.get("op")
@@ -132,12 +142,5 @@ def control_request(address, payload: Dict,
     with socket.create_connection(tuple(address),
                                   timeout=timeout) as conn:
         conn.sendall(json.dumps(payload).encode("utf-8") + b"\n")
-        chunks = []
-        while True:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-    return json.loads(b"".join(chunks).decode("utf-8"))
+        with conn.makefile("rb") as reply:
+            return json.loads(reply.readline().decode("utf-8"))

@@ -35,10 +35,11 @@ from repro.hw.scsi import (
     REG_COMMAND,
     REG_MAILBOX,
 )
-from repro.sim.budget import CAT_COPY, CAT_EMULATION, CAT_WORLD_SWITCH
+from repro.sim.budget import CAT_COPY, CAT_EMULATION
 from repro.perf.costmodel import CostModel
 from repro.vmm.intercept import LVMM_INTERCEPTED_PORTS, LvmmIntercept
 from repro.vmm.monitor import LightweightVmm
+from repro.vmm.reflect import HostedReflection
 
 
 class FullVmmIntercept(LvmmIntercept):
@@ -141,18 +142,11 @@ class FullVmm(LightweightVmm):
             self.shadow, machine.bus, machine.budget, self.cost, machine,
             include_world_switch=False,
             on_virtual_eoi=self._after_virtual_eoi)
+        self.reflection = HostedReflection(
+            self.shadow, machine.bus, machine.budget, self.cost)
 
     def install(self) -> None:
         super().install()
-        self.machine.bus.intercept = self.intercept
         # No passthrough: the I/O bitmap grants the guest nothing, so
         # every IN/OUT traps and lands in the intercept above.
         self.machine.cpu.io_allowed_ports = set()
-
-    def _on_interrupt(self, cpu, vector: int) -> bool:
-        # Interrupts take the double host hop before reflection.
-        extra = (self.cost.fullvmm_interrupt_cost()
-                 - self.cost.lvmm_interrupt_cost())
-        if extra > 0:
-            self.machine.budget.charge(extra, CAT_EMULATION)
-        return super()._on_interrupt(cpu, vector)

@@ -76,9 +76,9 @@ class Machine:
 
         # Interrupt controller pair.
         self.pic = PicPair()
-        self.bus.register_ports(MASTER_CMD, 2, self.pic.master_port(),
+        self.bus.register_ports(MASTER_CMD, 2, self.pic.master,
                                 "pic-master")
-        self.bus.register_ports(SLAVE_CMD, 2, self.pic.slave_port(),
+        self.bus.register_ports(SLAVE_CMD, 2, self.pic.slave,
                                 "pic-slave")
         self.cpu.irq_source = self.pic
 

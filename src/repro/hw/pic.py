@@ -49,8 +49,8 @@ def _priority_line(pending: int, isr: int) -> int:
     return lowest.bit_length() - 1
 
 
-class _Pic8259:
-    """One 8259A chip."""
+class _Pic8259(PortDevice):
+    """One 8259A chip, on the bus at offsets 0 (command) and 1 (data)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -118,12 +118,20 @@ class _Pic8259:
     def read_data(self) -> int:
         return self.imr
 
+    def port_read(self, offset: int, size: int) -> int:
+        return self.read_data() if offset else self.read_command()
 
-class PicPair(PortDevice):
-    """The PC/AT master+slave 8259A pair, presented as one bus device.
+    def port_write(self, offset: int, value: int, size: int) -> None:
+        if offset:
+            self.write_data(value & 0xFF)
+        else:
+            self.write_command(value & 0xFF)
 
-    Registered twice on the bus (ports 0x20-0x21 and 0xA0-0xA1); IRQ
-    lines 0-7 go to the master, 8-15 to the slave via the cascade.
+
+class PicPair:
+    """The PC/AT master+slave 8259A pair (ports 0x20-0x21, 0xA0-0xA1).
+
+    IRQ lines 0-7 go to the master, 8-15 to the slave via the cascade.
     """
 
     def __init__(self) -> None:
@@ -196,7 +204,9 @@ class PicPair(PortDevice):
     def acknowledge(self) -> int:
         """INTA cycle: commit the pending interrupt and return its vector.
 
-        A slave line also puts the cascade line in service on the master.
+        A slave line also puts the cascade line in service on the master;
+        the cascade line keeps requesting while the slave holds another
+        request, as in :meth:`lower_irq`.
         """
         line = self._resolve()
         if line < 0:
@@ -204,29 +214,14 @@ class PicPair(PortDevice):
         self.delivered += 1
         chip = self.master
         if line >= 8:
-            chip.irr &= ~(1 << CASCADE_IRQ)
             chip.isr |= 1 << CASCADE_IRQ
             chip = self.slave
             line -= 8
         chip.irr &= ~(1 << line)
         chip.isr |= 1 << line
+        if chip is self.slave and not chip.irr:
+            self.master.irr &= ~(1 << CASCADE_IRQ)
         return chip.vector_base + line
-
-    # -- port interface ------------------------------------------------------------
-    # The bus registers this device at base 0x20 (master, offsets 0-1) and
-    # base 0xA0 (slave); we disambiguate with two thin adapters below.
-
-    def port_read(self, offset: int, size: int) -> int:  # pragma: no cover
-        raise NotImplementedError("register via master_port()/slave_port()")
-
-    def port_write(self, offset: int, value: int, size: int) -> None:  # pragma: no cover
-        raise NotImplementedError("register via master_port()/slave_port()")
-
-    def master_port(self) -> PortDevice:
-        return _PicPort(self.master)
-
-    def slave_port(self) -> PortDevice:
-        return _PicPort(self.slave)
 
     # -- snapshot support ----------------------------------------------------------
 
@@ -247,32 +242,12 @@ class PicPair(PortDevice):
             chip.imr, chip.vector_base = data["imr"], data["base"]
 
 
-class _PicPort(PortDevice):
-    """Adapter exposing one 8259 at bus offsets 0 (command) / 1 (data)."""
-
-    def __init__(self, chip: _Pic8259) -> None:
-        self._chip = chip
-
-    def port_read(self, offset: int, size: int) -> int:
-        if offset == 0:
-            return self._chip.read_command()
-        return self._chip.read_data()
-
-    def port_write(self, offset: int, value: int, size: int) -> None:
-        if offset == 0:
-            self._chip.write_command(value & 0xFF)
-        else:
-            self._chip.write_data(value & 0xFF)
-
-
 def standard_setup(pic: PicPair, master_base: int = 32,
                    slave_base: int = 40) -> None:
     """Program the pair the way PC/AT firmware does (vectors 32..47)."""
-    master = pic.master_port()
-    slave = pic.slave_port()
-    for port, base in ((master, master_base), (slave, slave_base)):
-        port.port_write(0, 0x11, 1)        # ICW1: edge, cascade, need ICW4
-        port.port_write(1, base, 1)        # ICW2: vector base
-        port.port_write(1, 0x04, 1)        # ICW3
-        port.port_write(1, 0x01, 1)        # ICW4: 8086 mode
-        port.port_write(1, 0x00, 1)        # OCW1: unmask everything
+    for chip, base in ((pic.master, master_base), (pic.slave, slave_base)):
+        chip.port_write(0, 0x11, 1)        # ICW1: edge, cascade, need ICW4
+        chip.port_write(1, base, 1)        # ICW2: vector base
+        chip.port_write(1, 0x04, 1)        # ICW3
+        chip.port_write(1, 0x01, 1)        # ICW4: 8086 mode
+        chip.port_write(1, 0x00, 1)        # OCW1: unmask everything

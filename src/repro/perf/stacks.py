@@ -8,15 +8,17 @@ costs exactly where they occur —
 * **BarePerfStack** — nothing interposed; only hardware costs.
 * **LvmmPerfStack** — PIC/PIT/UART accesses trap into the monitor's
   emulation (`LvmmIntercept` with trap cost); interrupts are fielded by
-  the monitor and reflected; CLI/STI-class operations trap.  SCSI and
-  NIC accesses pass through untouched.
+  the monitor and reflected at once; CLI/STI-class operations trap.
+  SCSI and NIC accesses pass through untouched.
 * **FullVmmPerfStack** — every device access takes the hosted-I/O round
   trip and DMA data is copied through bounce buffers
   (`FullVmmIntercept`); interrupts make the host double-hop.
 
-This mirrors the functional monitors one-to-one (same intercept classes,
-same cost model) without interpreting guest machine code, which is what
-makes minute-long simulated transfer runs tractable.
+This mirrors the functional monitors one-to-one (same intercept and
+`repro.vmm.reflect` classes, same cost model) without interpreting guest
+machine code, which is what makes minute-long simulated transfer runs
+tractable.  Only the timing of a reflection differs: this guest model's
+CLI/STI do not drive the virtual IF, so nothing is ever deferred.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from repro.sim.budget import (
     CAT_WORLD_SWITCH,
 )
 from repro.vmm.intercept import LvmmIntercept
+from repro.vmm.reflect import (HostedReflection, InterruptReflection,
+                               line_for_vector)
 from repro.vmm.shadow import ShadowState
 
 
@@ -65,10 +69,11 @@ class PerfStack:
         """One CLI/STI-class interrupt-management operation."""
         self.budget.charge(3, CAT_GUEST)
 
-    def on_interrupt_fielded(self, line: int) -> None:
-        """Between PIC acknowledge and the guest ISR."""
+    def on_interrupt_fielded(self, vector: int) -> int:
+        """Between PIC acknowledge and the guest ISR; returns the line."""
         self.budget.charge(self.cost.interrupt_deliver_cycles,
                            CAT_INTERRUPT)
+        return line_for_vector(vector)
 
     def guest_cycles(self, cycles: int) -> None:
         self.budget.charge(cycles, CAT_GUEST)
@@ -91,6 +96,8 @@ class LvmmPerfStack(PerfStack):
         self.intercept = LvmmIntercept(
             self.shadow, machine.bus, machine.budget, cost,
             include_world_switch=True)
+        self.reflection = InterruptReflection(
+            self.shadow, machine.bus, machine.budget, cost)
 
     def install(self) -> None:
         super().install()
@@ -103,25 +110,13 @@ class LvmmPerfStack(PerfStack):
         self.budget.charge(self.cost.world_switch_cycles, CAT_WORLD_SWITCH)
         self.budget.charge(150, CAT_EMULATION)
 
-    def on_interrupt_fielded(self, line: int) -> None:
-        # Monitor fields the interrupt, emulates the PIC, reflects.
-        self.budget.charge(self.cost.world_switch_cycles, CAT_WORLD_SWITCH)
-        self.budget.charge(
-            self.cost.pic_emulation_cycles
-            + self.cost.interrupt_reflect_cycles, CAT_INTERRUPT)
-        # Mirror into the virtual PIC so guest mask/EOI state is honest.
-        pic = self.shadow.virtual_pic
-        pic.raise_irq(line)
-        if pic.has_pending():
-            pic.acknowledge()
-        # The monitor completes the real handshake itself.
-        self._real_eoi(line)
-
-    def _real_eoi(self, line: int) -> None:
-        bus = self.machine.bus
-        if line >= 8:
-            bus.raw_port_write(0xA0, 0x20, 1)
-        bus.raw_port_write(0x20, 0x20, 1)
+    def on_interrupt_fielded(self, vector: int) -> int:
+        # The monitor fields the interrupt and reflects it at once.
+        reflection = self.reflection
+        line = reflection.field(vector)
+        reflection.latch(line)
+        reflection.take()
+        return line
 
 
 class FullVmmPerfStack(LvmmPerfStack):
@@ -135,14 +130,8 @@ class FullVmmPerfStack(LvmmPerfStack):
         self.intercept = FullVmmIntercept(
             self.shadow, machine.bus, machine.budget, cost, machine,
             include_world_switch=True)
-
-    def on_interrupt_fielded(self, line: int) -> None:
-        # Double host hop on the way in, then the usual reflection.
-        extra = (self.cost.fullvmm_interrupt_cost()
-                 - self.cost.lvmm_interrupt_cost())
-        if extra > 0:
-            self.budget.charge(extra, CAT_EMULATION)
-        super().on_interrupt_fielded(line)
+        self.reflection = HostedReflection(
+            self.shadow, machine.bus, machine.budget, cost)
 
 
 STACKS: Dict[str, Callable[..., PerfStack]] = {
@@ -184,10 +173,9 @@ class InterruptDispatcher:
         pic = self.machine.pic
         while pic.has_pending():
             vector = pic.acknowledge()
-            line = vector - 32 if vector < 40 else vector - 40 + 8
+            line = self.stack.on_interrupt_fielded(vector)
             if self.deliver_taps:
                 self.deliver_taps(line, vector)
-            self.stack.on_interrupt_fielded(line)
             self.stack.guest_cycles(self.stack.cost.guest_interrupt_cycles)
             handler = self._handlers.get(line)
             if handler is not None:

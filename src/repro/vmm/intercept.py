@@ -104,8 +104,9 @@ class LvmmIntercept(IoIntercept):
                 chip.write_data(value)
                 return
             chip.write_command(value)
-            if value & _EOI_BIT and not value & _ICW1_BIT:
-                self._handle_virtual_eoi()
+            if (value & _EOI_BIT and not value & _ICW1_BIT
+                    and self._on_virtual_eoi is not None):
+                self._on_virtual_eoi()
             return
         if PIT_BASE <= port < PIT_BASE + 4:
             self.pit_accesses += 1
@@ -117,16 +118,3 @@ class LvmmIntercept(IoIntercept):
         # Debug UART writes from the guest are discarded.
         self.uart_denied += 1
         self._charge(self._cost.pic_emulation_cycles)
-
-    def _handle_virtual_eoi(self) -> None:
-        """Guest signalled end-of-interrupt on its virtual PIC.
-
-        Restore the virtual IF saved at reflection time (the practical
-        approximation of restoring it at IRET; both guests in this repo
-        EOI immediately before IRET).
-        """
-        if self._shadow.vif_before_reflect is not None:
-            self._shadow.vif = self._shadow.vif_before_reflect
-            self._shadow.vif_before_reflect = None
-        if self._on_virtual_eoi is not None:
-            self._on_virtual_eoi()

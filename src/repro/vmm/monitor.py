@@ -56,11 +56,12 @@ from repro.obs.profiler import NEVER, GuestProfiler
 from repro.obs.taps import TapPoint
 from repro.rsp.stub import DebugStub
 from repro.rsp.target import CpuTargetAdapter, SIGSEGV, SIGTRAP
-from repro.sim.budget import CAT_EMULATION, CAT_INTERRUPT, CAT_WORLD_SWITCH
+from repro.sim.budget import CAT_EMULATION, CAT_WORLD_SWITCH
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vmm.commands import dispatch
 from repro.vmm.intercept import LvmmIntercept
 from repro.vmm.protect import ShadowGdt, compress_selector
+from repro.vmm.reflect import InterruptReflection
 from repro.vmm.watchdog import DEGRADE_FULL
 from repro.vmm.shadow import ShadowState
 
@@ -277,6 +278,8 @@ class LightweightVmm:
             self.shadow, machine.bus, machine.budget, self.cost,
             include_world_switch=False,
             on_virtual_eoi=self._after_virtual_eoi)
+        self.reflection = InterruptReflection(
+            self.shadow, machine.bus, machine.budget, self.cost)
         self.adapter = LvmmTargetAdapter(self)
         self.stub = DebugStub(self.adapter, send_bytes=self._uart_send)
 
@@ -692,18 +695,14 @@ class LightweightVmm:
 
     def _on_interrupt(self, cpu: Cpu, vector: int) -> bool:
         self.stats.interrupts_fielded += 1
-        self.machine.budget.charge(self.cost.world_switch_cycles,
-                                   CAT_WORLD_SWITCH)
-        line = self._line_for_vector(vector)
+        line = self.reflection.field(vector)
         self._trace_event("irq", f"irq={line} vector={vector}")
-        # The monitor completes the real-PIC handshake itself.
-        self._real_eoi(line)
         if line == IRQ_COM1:
             self.service_debugger()
             return True
         # A guest-owned device: latch into the virtual PIC and reflect
         # when the guest's virtual IF allows.
-        self.shadow.virtual_pic.raise_irq(line)
+        self.reflection.latch(line)
         if not self.stopped:
             self._reflect_pending_interrupt()
         # HLT semantics: the guest wakes only when an interrupt is
@@ -713,29 +712,13 @@ class LightweightVmm:
             cpu.halted = True
         return True
 
-    @staticmethod
-    def _line_for_vector(vector: int) -> int:
-        if 32 <= vector < 40:
-            return vector - 32
-        if 40 <= vector < 48:
-            return vector - 40 + 8
-        return vector & 0xF
-
-    def _real_eoi(self, line: int) -> None:
-        bus = self.machine.bus
-        if line >= 8:
-            bus.raw_port_write(0xA0, 0x20, 1)
-        bus.raw_port_write(0x20, 0x20, 1)
-
     def _reflect_pending_interrupt(self) -> None:
         if self.guest_dead or self.stopped:
             return
         vector = self.shadow.pending_virtual_vector()
-        if vector is None:
-            return
+        if vector is None or self.shadow.idtr.limit == 0:
+            return  # nothing deliverable, or guest has no IDT yet
         cpu = self.machine.cpu
-        if self.shadow.idtr.limit == 0:
-            return  # guest not ready for interrupts yet
         try:
             gate = cpu.read_idt_gate(vector)
         except CpuFault:
@@ -743,14 +726,11 @@ class LightweightVmm:
             return
         if not gate.present:
             return  # guest has no handler: leave it pending
-        self.shadow.virtual_pic.acknowledge()
+        self.reflection.take()
         self.shadow.halted = False
         cpu.halted = False
         self.stats.interrupts_reflected += 1
         self._trace_event("reflect", f"vector={vector}")
-        self.machine.budget.charge(
-            self.cost.pic_emulation_cycles
-            + self.cost.interrupt_reflect_cycles, CAT_INTERRUPT)
         # Interrupt-gate semantics on the *virtual* IF.
         self.shadow.vif_before_reflect = True
         self.shadow.vif = False
@@ -760,9 +740,15 @@ class LightweightVmm:
             self._guest_died(f"fault delivering vector {vector}")
 
     def _after_virtual_eoi(self) -> None:
-        """More virtual interrupts may be deliverable after an EOI."""
-        # Delivery happens between instructions; mark for the step loop.
-        if self.shadow.vif:
+        """The guest EOI'd its virtual PIC: restore the virtual IF saved
+        at reflection (the practical approximation of restoring it at
+        IRET; both guests in this repo EOI immediately before IRET), and
+        reflect what that makes deliverable before the next instruction."""
+        shadow = self.shadow
+        if shadow.vif_before_reflect is not None:
+            shadow.vif = shadow.vif_before_reflect
+            shadow.vif_before_reflect = None
+        if shadow.vif:
             self._pending_sti_window = True
 
     # ------------------------------------------------------------------

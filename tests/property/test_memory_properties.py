@@ -515,9 +515,12 @@ class TestPicProperties:
         if line >= 8:
             s_irr &= ~(1 << (line - 8))
             s_isr |= 1 << (line - 8)
-            line = 2
-        m_irr &= ~(1 << line)
-        m_isr |= 1 << line
+            m_isr |= 1 << 2
+            if not s_irr:   # the cascade requests while the slave does
+                m_irr &= ~(1 << 2)
+        else:
+            m_irr &= ~(1 << line)
+            m_isr |= 1 << line
         assert (pic.master.irr, pic.master.isr) == (m_irr, m_isr)
         assert (pic.slave.irr, pic.slave.isr) == (s_irr, s_isr)
         assert pic.delivered == 1
@@ -548,8 +551,8 @@ class TestPicProperties:
     def test_intercepted_ports_match_port_adapters(self, ops):
         """Guest PIC reads and writes emulated by ``LvmmIntercept`` on
         the virtual PIC leave it, and every value read, exactly as the
-        bus's port adapters leave a twin; EOI commands are the ones
-        that restore the virtual IF."""
+        chips' own bus port interface leaves a twin; EOI commands are
+        the ones that restore the virtual IF."""
         shadow = ShadowState()
         eois = []
         intercept = LvmmIntercept(shadow, None, CycleBudget(),
@@ -560,8 +563,7 @@ class TestPicProperties:
         standard_setup(twin)
         twin_eois = 0
         for op, port, value in ops:
-            adapter = (twin.master_port() if port < SLAVE_CMD
-                       else twin.slave_port())
+            adapter = twin.master if port < SLAVE_CMD else twin.slave
             if op == "read":
                 assert intercept.emulate_port_read(port, 1) == \
                     adapter.port_read(port & 1, 1)

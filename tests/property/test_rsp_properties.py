@@ -250,10 +250,10 @@ class TestPicInvariants:
             if op == "raise":
                 pic.raise_irq(arg)
             elif op == "mask":
-                pic.master_port().port_write(1, arg, 1)
+                pic.master.port_write(1, arg, 1)
             elif op == "eoi":
-                pic.master_port().port_write(0, 0x20, 1)
-                pic.slave_port().port_write(0, 0x20, 1)
+                pic.master.port_write(0, 0x20, 1)
+                pic.slave.port_write(0, 0x20, 1)
             elif op == "ack":
                 if pic.has_pending():
                     vector = pic.acknowledge()
@@ -284,5 +284,5 @@ class TestPicInvariants:
         drained = []
         while pic.has_pending():
             drained.append(pic.acknowledge() - 32)
-            pic.master_port().port_write(0, 0x20, 1)
+            pic.master.port_write(0, 0x20, 1)
         assert drained == sorted(lines)
