@@ -233,9 +233,11 @@ def test_tier_superblock_over_decode_streaming():
 
 
 def test_tier_superblock_over_decode_tight():
-    """Translation wins on the tight loop too (the streaming loop is
-    gated at >= 2.0 above)."""
-    assert tier_speedup("tight", "superblock", "decode") > 1.0
+    """The tight loop is a register-only loop: its block keeps R0-R2 in
+    locals and accounts its iterations at its exits.  Measured 15.6-26.4
+    over 30 pairs (medians 18.4-18.9) on a 2-vCPU shared host; the floor
+    leaves a 25% margin under the lowest pair."""
+    assert tier_speedup("tight", "superblock", "decode") >= 12.0
 
 
 def test_verify_on_compile():

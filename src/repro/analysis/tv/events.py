@@ -3,8 +3,10 @@
 A superblock's observable behaviour is fully described by the ordered
 list of events below.  Registers live in ``cpu.regs`` (the generated
 code binds the list itself), so the register file is committed
-continuously; FLAGS, ``instret``, ``cycle_count``, budget charges and
-PC are locals committed at *barriers*.  Nothing can observe CPU state
+continuously, except in a register-only loop, which writes its
+register locals back at each exit; FLAGS, ``instret``,
+``cycle_count``, budget charges and PC are locals committed at
+*barriers* and exits.  Nothing can observe CPU state
 between barriers (inlined instructions cannot fault and interrupts are
 only polled at the emitted check points), so equivalence at every
 barrier and exit edge is observational equivalence of the block.

@@ -9,7 +9,11 @@ the loop body, producing the event trace of :mod:`.events`:
 
 * the fixed skeleton (preamble, except clause, epilogue) is matched
   statement-for-statement against templates — any deviation is a
-  :class:`TvStructureError`;
+  :class:`TvStructureError`; a loop's preamble must hold the trip
+  bound, ``n = (li - ir) // N`` lowered to ``(lc - cy) // C`` when the
+  cycle term binds, which is the dispatcher's pacing inequality, and
+  its ``(N, C)`` is the :class:`~repro.analysis.tv.events.Pacing`
+  event;
 * the body is interpreted: local assignments build symbolic
   expressions, commit statements update the tracked committed state,
   handler calls emit :class:`~repro.analysis.tv.events.Barrier` +
@@ -23,8 +27,16 @@ the loop body, producing the event trace of :mod:`.events`:
   exit may test the formula's ``m == 0`` instead of ``f & 64``, and a
   back-edge that leaves a formula pending is accepted only when the
   loop body never reads the stale bits it carries into the next
-  iteration.  The pacing re-check sits at the back-edge and is
-  reported first, where the reference puts the loop-top check.
+  iteration.  The ``if k == n:`` check sits at the back-edge, after
+  exactly one ``k += 1``, and is reported first, where the reference
+  puts the loop-top check; an eagerly accounting body must have
+  accounted the trip bound's ``(N, C)`` by then;
+* a register-only loop keeps registers in locals ``r<i>`` and
+  accounts at its exits: every exit must write back each local the
+  body changed (the shadowed ``cpu.regs`` slot is unknown at the loop
+  top otherwise) and add ``N * k``, ``C * k`` and ``C * k`` to
+  ``ir``/``cy``/``chg`` with the trip bound's ``N`` and ``C``, so it is
+  lifted with one whole iteration's offsets.
 
 The lifter never consults the decoded instruction list — everything it
 produces comes from the emitted source plus the handler binding table,
@@ -228,6 +240,28 @@ def _reg_index(node: ast.expr) -> Optional[int]:
     return _int_const(index)
 
 
+def _local_index(node: ast.expr) -> Optional[int]:
+    """The register local ``r<i>`` -> i."""
+    if isinstance(node, ast.Name) and len(node.id) == 2 \
+            and node.id[0] == "r" and node.id[1] in "01234567":
+        return int(node.id[1])
+    return None
+
+
+def _count_rate(stmt: ast.stmt) -> Optional[Tuple[str, int]]:
+    """``x += R * k`` -> (x, R): accounting ``k`` iterations at once."""
+    if not (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add)
+            and isinstance(stmt.target, ast.Name)
+            and isinstance(stmt.value, ast.BinOp)
+            and isinstance(stmt.value.op, ast.Mult)
+            and _is_name(stmt.value.right, "k")):
+        return None
+    rate = _int_const(stmt.value.left)
+    if rate is None:
+        raise TvStructureError("iteration accounting rate is not a constant")
+    return stmt.target.id, rate
+
+
 _BINOPS: Dict[type, str] = {
     ast.Add: "add", ast.Sub: "sub", ast.BitAnd: "and", ast.BitOr: "or",
     ast.BitXor: "xor", ast.LShift: "shl", ast.RShift: "shr",
@@ -238,10 +272,28 @@ _BINOPS: Dict[type, str] = {
 class _Lifter:
     """Symbolic executor over one ``_block`` loop body."""
 
-    def __init__(self, handlers: List[Tuple[str, Any]],
-                 entry_pc: int) -> None:
+    def __init__(self, handlers: List[Tuple[str, Any]], entry_pc: int,
+                 trip: Optional[Tuple[int, int]] = None,
+                 reg_locals: Tuple[int, ...] = (),
+                 assigned: frozenset = frozenset(),
+                 deferred: bool = False) -> None:
         self.handlers = handlers
+        #: ``cpu.regs`` as committed.
         self.regs: List[Expr] = [sema.reg(i) for i in range(8)]
+        #: A register-only loop's register locals ``r<i>``.  The slot a
+        #: local shadows holds the block-entry value, which is the
+        #: iteration-entry value only on the first iteration when the
+        #: body assigns the local, so it is unknown until written back.
+        self.reg_locals: Dict[int, Expr] = {i: sema.reg(i)
+                                            for i in reg_locals}
+        for index in assigned:
+            self.regs[index] = sema.havoc_reg(-1, index)
+        #: The trip bound's (instructions, cycles) per iteration; in a
+        #: deferred loop every exit accounts ``k`` iterations at once.
+        self.trip = trip
+        self.deferred = deferred
+        #: ``k += 1`` statements run so far in this iteration.
+        self.iterations = 0
         self.f: Expr = sema.FLAGS
         self.locals: Dict[str, Expr] = {}
         self.ir = 0
@@ -261,7 +313,8 @@ class _Lifter:
         self.handler_index = 0
         self.events: List[Event] = []
         self.terminated = False
-        #: The back-edge pacing check and its exit branch's flag formula.
+        #: The back-edge trip-count check and its exit branch's flag
+        #: formula.
         self.pacing: Optional[Pacing] = None
         self.pacing_formula: Optional[ast.Assign] = None
         self.pacing_flags: Expr = sema.FLAGS
@@ -277,6 +330,8 @@ class _Lifter:
                 return self.f
             if node.id in self.locals:
                 return self.locals[node.id]
+            if _local_index(node) in self.reg_locals:
+                return self.reg_locals[_local_index(node)]
             raise TvStructureError(f"unbound local `{node.id}`")
         index = _reg_index(node)
         if index is not None:
@@ -325,6 +380,18 @@ class _Lifter:
         return State(regs=tuple(self.regs), flags=self.f,
                      ir=self.ir, cy=self.cy, chg=self.chg)
 
+    def accounted(self) -> Tuple[int, int, int]:
+        """(instret, cycles, pending charge) offsets from iteration
+        entry.  A deferred loop's exit adds ``R * k``: with ``k`` counting
+        this iteration (``k += 1`` has run) that is the earlier
+        iterations plus this whole one."""
+        if not self.deferred:
+            return self.ir, self.cy, self.chg
+        assert self.trip is not None
+        insns, cycles = self.trip
+        return (insns * self.iterations, cycles * self.iterations,
+                cycles * self.iterations)
+
     # -- statement dispatch ------------------------------------------------
 
     def run(self, stmts: List[ast.stmt]) -> None:
@@ -365,11 +432,17 @@ class _Lifter:
                 raise TvStructureError(
                     "the loop reads FLAGS before its first flag write, "
                     "but the back-edge leaves a flag formula pending")
-        # The pacing exit leaves with exactly the loop-edge state; it
+        # The pacing exit leaves with exactly the loop-edge state (its
+        # write-backs and accounting were checked with its branch); it
         # re-checks the next iteration, as the reference's loop-top
-        # check does.
+        # check does.  The next iteration reads the register locals.
         self.events.insert(0, self.pacing)
-        self.events.append(LoopEdge(state=self.state()))
+        regs = list(self.regs)
+        for index, value in self.reg_locals.items():
+            regs[index] = value
+        ir, cy, chg = self.accounted()
+        self.events.append(LoopEdge(state=State(
+            regs=tuple(regs), flags=self.f, ir=ir, cy=cy, chg=chg)))
 
     def _step(self, stmts: List[ast.stmt], i: int) -> int:
         stmt = stmts[i]
@@ -382,6 +455,9 @@ class _Lifter:
                     and _is_cpu_attr(stmt.targets[0], "pc") \
                     and i + 1 < len(stmts) \
                     and isinstance(stmts[i + 1], ast.Break):
+                if self.deferred:
+                    raise TvStructureError(
+                        "exit without its iteration accounting")
                 self.events.append(Exit(pc=self.committed_pc,
                                         state=self.state()))
                 self.terminated = True
@@ -422,19 +498,18 @@ class _Lifter:
         if not stmt.orelse:
             branch = self._exit_branch(stmt.body)
             if branch is not None:
-                formula, target, flags = branch
+                formula, target, state = branch
                 negated = _is_zf_test(stmt.test)
                 if negated is not None and _is_flag_formula(formula):
                     # ``m == 0`` is the pending formula's ZF.
                     cond: Expr = ("truthy",
-                                  ("and", flags, sema.const(64)))
+                                  ("and", state.flags, sema.const(64)))
                     if negated:
                         cond = ("not", cond)
                 else:
                     cond = self.lift_bool(stmt.test)
-                self.events.append(CondExit(
-                    cond=cond, pc=target,
-                    state=replace(self.state(), flags=flags)))
+                self.events.append(CondExit(cond=cond, pc=target,
+                                            state=state))
                 return i + 1
             raise TvStructureError(
                 f"unrecognised conditional `{ast.dump(stmt)[:100]}`")
@@ -454,22 +529,59 @@ class _Lifter:
             f"unrecognised conditional `{ast.dump(stmt)[:100]}`")
 
     def _exit_branch(self, body: List[ast.stmt]) \
-            -> Optional[Tuple[Optional[ast.Assign], int, Expr]]:
-        """``[f = E;] cpu.pc = N; break`` -> (formula, N, exit flags)."""
-        if len(body) not in (2, 3) or not isinstance(body[-1], ast.Break) \
-                or not isinstance(body[-2], ast.Assign):
+            -> Optional[Tuple[Optional[ast.Assign], int, State]]:
+        """``[f = E;] [regs[i] = r<i>;]* [x += R * k;]* cpu.pc = N;
+        break`` -> (formula, N, exit state).
+
+        Every exit must write back each register local it leaves
+        changed.  A deferred loop's exit accounts instret, cycles and
+        charge at the trip bound's rates; an eager block's never does."""
+        if len(body) < 2 or not isinstance(body[-1], ast.Break) \
+                or not isinstance(body[-2], ast.Assign) \
+                or not _is_cpu_attr(body[-2].targets[0], "pc"):
             return None
+        target = self._exit_pc(body[-2])
+        stmts = body[:-2]
         formula: Optional[ast.Assign] = None
         flags = self.f
-        if len(body) == 3:
-            first = body[0]
-            if not (isinstance(first, ast.Assign)
-                    and len(first.targets) == 1
-                    and _is_name(first.targets[0], "f")):
-                return None
+        first = stmts[0] if stmts else None
+        if isinstance(first, ast.Assign) and len(first.targets) == 1 \
+                and _is_name(first.targets[0], "f"):
             formula = first
             flags = self.lift_expr(first.value)
-        return formula, self._exit_pc(body[-2]), flags
+            stmts = stmts[1:]
+        regs = list(self.regs)
+        rates: Dict[str, int] = {}
+        for stmt in stmts:
+            index = _reg_index(stmt.targets[0]) \
+                if isinstance(stmt, ast.Assign) \
+                and len(stmt.targets) == 1 else None
+            if index is not None and 0 <= index < 8:
+                regs[index] = self.lift_expr(stmt.value)
+                continue
+            rate = _count_rate(stmt)
+            if rate is None or rate[0] in rates:
+                raise TvStructureError(
+                    f"exit to {target:#x}: unexpected "
+                    f"`{ast.dump(stmt)[:80]}`")
+            rates[rate[0]] = rate[1]
+        for index, value in self.reg_locals.items():
+            if regs[index] != value:
+                raise TvStructureError(
+                    f"exit to {target:#x} does not write r{index} back")
+        if not self.deferred:   # then no exit has ``x += R * k``
+            return formula, target, replace(self.state(), flags=flags,
+                                            regs=tuple(regs))
+        assert self.trip is not None
+        insns, cycles = self.trip
+        want = {"ir": insns, "cy": cycles, "chg": cycles}
+        if rates != want:
+            raise TvStructureError(
+                f"exit to {target:#x} accounts {rates} per iteration; "
+                f"the trip bound paces {want}")
+        ir, cy, chg = self.accounted()
+        return formula, target, State(regs=tuple(regs), flags=flags,
+                                      ir=ir, cy=cy, chg=chg)
 
     @staticmethod
     def _exit_pc(stmt: ast.stmt) -> int:
@@ -504,34 +616,36 @@ class _Lifter:
         return page, generation
 
     def _match_pacing(self, stmt: ast.If) -> bool:
+        """``if k == n:`` + an exit to the entry: the trip count is done.
+
+        The trip bound (see :func:`_trip_bound`) is the dispatcher's
+        pacing inequality; here its (instructions, cycles) must be what
+        one iteration accounts: in an eager body, ``ir``/``cy`` at the
+        back-edge; in a deferred loop, each exit's rates (checked with
+        the branch).  ``k`` must advance exactly once per iteration."""
         test = stmt.test
-        if not (isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or)
-                and len(test.values) == 2):
-            return None
-
-        def limit(node: ast.expr, counter: str,
-                  bound: str) -> Optional[int]:
-            if not (isinstance(node, ast.Compare) and len(node.ops) == 1
-                    and isinstance(node.ops[0], ast.Gt)
-                    and _is_name(node.comparators[0], bound)
-                    and isinstance(node.left, ast.BinOp)
-                    and isinstance(node.left.op, ast.Add)
-                    and _is_name(node.left.left, counter)):
-                return None
-            return _int_const(node.left.right)
-
-        insns = limit(test.values[0], "ir", "li")
-        cycles = limit(test.values[1], "cy", "lc")
-        if insns is None or cycles is None:
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Eq)
+                and _is_name(test.left, "k")
+                and _is_name(test.comparators[0], "n")):
             return False
+        if self.trip is None:
+            raise TvStructureError("iteration check without a trip bound")
         branch = self._exit_branch(stmt.body)
         if branch is None or stmt.orelse:
             raise TvStructureError("malformed pacing check")
-        # At the back-edge ``ir``/``cy`` already hold the next
-        # iteration's entry values.
-        if self.ir != insns or self.cy != cycles:
-            raise TvStructureError("pacing check not at the back-edge")
-        self.pacing_formula, exit_pc, self.pacing_flags = branch
+        if self.iterations != 1:
+            raise TvStructureError(
+                f"the iteration count advances {self.iterations} times "
+                "per iteration")
+        insns, cycles = self.trip
+        if not self.deferred and (self.ir, self.cy) != (insns, cycles):
+            raise TvStructureError(
+                f"the trip bound paces {insns} instructions and {cycles}"
+                f" cycles per iteration; the body accounts {self.ir} and "
+                f"{self.cy}")
+        self.pacing_formula, exit_pc, state = branch
+        self.pacing_flags = state.flags
         self.pacing = Pacing(insns=insns, cycles=cycles, exit_pc=exit_pc)
         return True
 
@@ -563,12 +677,17 @@ class _Lifter:
                 # ALU operands: a register or a 32-bit constant.
                 value = _int_const(stmt.value)
                 if _reg_index(stmt.value) is None \
+                        and _local_index(stmt.value) not in self.reg_locals \
                         and not (value is not None
                                  and 0 <= value <= sema.MASK32):
                     raise TvStructureError(
                         f"`{name}` is not a register or 32-bit constant")
             if name in ("a", "b", "t", "m"):
                 self.locals[name] = self.lift_expr(stmt.value)
+                return
+            if _local_index(target) in self.reg_locals:
+                self.reg_locals[_local_index(target)] = \
+                    self.lift_expr(stmt.value)
                 return
             raise TvStructureError(f"assignment to unexpected `{name}`")
         index = _reg_index(target)
@@ -606,15 +725,18 @@ class _Lifter:
         if not isinstance(value, ast.Tuple) \
                 or len(target.elts) != len(value.elts):
             raise TvStructureError("malformed tuple assignment")
-        indices: List[int] = []
+        slots: List[Tuple[Any, int]] = []
         for element in target.elts:
             index = _reg_index(element)
-            if index is None or not 0 <= index < 8:
+            if index is not None and 0 <= index < 8:
+                slots.append((self.regs, index))
+            elif _local_index(element) in self.reg_locals:
+                slots.append((self.reg_locals, _local_index(element)))
+            else:
                 raise TvStructureError("tuple assignment to non-register")
-            indices.append(index)
         new = [self.lift_expr(element) for element in value.elts]
-        for index, expr in zip(indices, new):
-            self.regs[index] = expr
+        for (slot, index), expr in zip(slots, new):
+            slot[index] = expr
 
     def _aug_assign(self, stmt: ast.AugAssign) -> None:
         if not isinstance(stmt.op, ast.Add) \
@@ -624,7 +746,16 @@ class _Lifter:
         if amount is None:
             raise TvStructureError("counter increment is not a constant")
         name = stmt.target.id
-        if name == "ir":
+        if name == "k":
+            if self.trip is None or amount != 1:
+                raise TvStructureError(
+                    "iteration count without a trip bound, or not by 1")
+            self.iterations += 1
+        elif self.deferred:
+            raise TvStructureError(
+                f"`{name} += {amount}` in a loop that accounts at its "
+                "exits")
+        elif name == "ir":
             self.ir += amount
         elif name == "cy":
             self.cy += amount
@@ -658,6 +789,9 @@ class _Lifter:
         if self.pending_flush is None:
             raise TvStructureError(
                 f"no budget flush before handler h{index}")
+        if self.deferred:
+            raise TvStructureError(
+                f"handler h{index} in a loop that accounts at its exits")
         self.events.append(Barrier(
             flags=self.cpu_flags, ir=self.committed_ir,
             cy=self.committed_cy, chg=self.pending_flush,
@@ -675,6 +809,45 @@ class _Lifter:
 
 
 # -- skeleton ----------------------------------------------------------------
+
+
+def _trip_bound(stmts: List[ast.stmt]) -> Tuple[int, int]:
+    """Pop the trip bound and ``k = 0``; return (instructions, cycles).
+
+    ``n = (li - ir) // N`` then ``if lc - cy < C * n: n = (lc - cy) //
+    C`` is ``n = min((li - ir) // N, (lc - cy) // C)``: the most whole
+    iterations with ``ir + N*n <= li`` and ``cy + C*n <= lc``, the
+    dispatcher's pacing inequality.  With ``lc`` infinite the cycle
+    term never binds, so ``n`` stays an integer."""
+    if len(stmts) < 3:
+        raise TvStructureError("loop without a trip bound")
+    first, second = stmts[0], stmts[1]
+    insns = _int_const(first.value.right) \
+        if isinstance(first, ast.Assign) \
+        and isinstance(first.value, ast.BinOp) \
+        and isinstance(first.value.op, ast.FloorDiv) else None
+    if insns is None or insns <= 0 \
+            or not _matches(first, f"n = (li - ir) // {insns}"):
+        raise TvStructureError(
+            "the trip bound is not `n = (li - ir) // N`, N > 0")
+    if not (isinstance(second, ast.If) and isinstance(second.test, ast.Compare)
+            and isinstance(second.test.comparators[0], ast.BinOp)
+            and len(second.body) == 1
+            and isinstance(second.body[0], ast.Assign)
+            and isinstance(second.body[0].value, ast.BinOp)):
+        raise TvStructureError("the trip bound ignores the cycle limit")
+    cycles = _int_const(second.test.comparators[0].left)
+    divisor = _int_const(second.body[0].value.right)
+    if cycles is None or cycles <= 0 or divisor != cycles:
+        raise TvStructureError(
+            f"the trip bound's cycle term compares {cycles} cycles per "
+            f"iteration but divides by {divisor}")
+    _require(second, f"if lc - cy < {cycles} * n:\n"
+             f"    n = (lc - cy) // {cycles}", "trip bound")
+    _require(stmts[2], "k = 0", "trip bound")
+    del stmts[:3]
+    return insns, cycles
+
 
 
 def _parse_factory(source: str,
@@ -724,11 +897,22 @@ def lift_python_block(source: str, handlers: List[Tuple[str, Any]],
         stmts.pop(0)
     binds_limits = bool(stmts) \
         and _matches(stmts[0], "li = cpu.block_instret_limit")
+    trip: Optional[Tuple[int, int]] = None
+    reg_locals: List[int] = []
     if binds_limits:
         stmts.pop(0)
         if not stmts:
             raise TvStructureError("preamble truncated")
         _require(stmts.pop(0), "lc = cpu.block_cycle_limit", "preamble")
+        trip = _trip_bound(stmts)
+        while stmts and isinstance(stmts[0], ast.Assign) \
+                and _local_index(stmts[0].targets[0]) is not None:
+            index = _local_index(stmts[0].targets[0])
+            assert index is not None
+            if index in reg_locals:
+                raise TvStructureError(f"r{index} bound twice")
+            _require(stmts.pop(0), f"r{index} = regs[{index}]", "preamble")
+            reg_locals.append(index)
 
     if not stmts or not isinstance(stmts[0], ast.Try):
         raise TvStructureError("missing try block")
@@ -759,7 +943,17 @@ def lift_python_block(source: str, handlers: List[Tuple[str, Any]],
     for stmt, line in zip(stmts, _EPILOGUE):
         _require(stmt, line, "epilogue")
 
-    lifter = _Lifter(handlers, entry_pc)
+    # A loop whose exits account ``R * k`` defers all of its accounting.
+    deferred = any(_count_rate(node) is not None for node in ast.walk(loop)
+                   if isinstance(node, ast.AugAssign))
+    if deferred and trip is None:
+        raise TvStructureError("iteration accounting without a trip bound")
+    assigned = frozenset(
+        index for node in ast.walk(loop)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        for index in (_local_index(node),) if index in reg_locals)
+    lifter = _Lifter(handlers, entry_pc, trip, tuple(reg_locals), assigned,
+                     deferred)
     lifter.run(list(loop.body))
     return LiftedBlock(events=lifter.events, binds_irq=binds_irq,
                        binds_gens=binds_gens, binds_limits=binds_limits,

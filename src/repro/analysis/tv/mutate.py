@@ -9,7 +9,11 @@ dropped commit, a wrong flag formula, off-by-one accounting, a
 weakened guard, a flag formula missing where FLAGS are observed — and
 asserts the validator kills every single one.  A second fixture, whose
 loop runs a load before its first flag write, carries the
-mutations of its loop-head barrier and back-edge.  CI requires 21/21.
+mutations of its loop-head barrier and back-edge.  A third, a
+register-only loop, keeps its registers in locals and accounts its
+iterations at its exits; it carries the mutations of the trip bound,
+of the register write-backs and of the exit accounting.  CI requires
+27/27.
 
 Run it via ``tools/tv_mutate.py`` or ``python -m
 repro.analysis.tv.mutate``.
@@ -54,6 +58,21 @@ loop:
     HLT
 """
 
+#: Register-only fixture: no handler, so the loop keeps R0-R2 in
+#: locals and each exit accounts ``k`` iterations of 5 instructions and
+#: 8 cycles (MULI 3, XCHG 2); XCHG writes two registers at once.
+REGISTER_LOOP_FIXTURE = """
+    MOVI R0, 64
+    MOVI R1, 7
+loop:
+    MULI R1, 3
+    XCHG R1, R2
+    ADDI R1, 5
+    SUBI R0, 1
+    JNZ  loop
+    HLT
+"""
+
 _BODY = " " * 16
 _FLAG_LINE = r"f = \(f & -2242\)[^\n]*"
 
@@ -63,6 +82,19 @@ def _drop_line(line: str) -> Callable[[str], str]:
         needle = f"\n{_BODY}{line}"
         assert needle in source, f"fixture lacks {line!r}"
         return source.replace(needle, "", 1)
+    return apply
+
+
+def _drop_exit_line(line: str, nth: int) -> Callable[[str], str]:
+    """Drop the ``nth`` (1-based) occurrence of ``line`` in an exit
+    branch."""
+    def apply(source: str) -> str:
+        needle = f"\n{_BODY}    {line}"
+        at = -1
+        for _ in range(nth):
+            at = source.find(needle, at + 1)
+            assert at >= 0, f"fixture lacks {nth} x {line!r}"
+        return source[:at] + source[at + len(needle):]
     return apply
 
 
@@ -142,7 +174,7 @@ SOURCE_MUTATIONS: List[Tuple[str, str, Callable[[str], str]]] = [
      _regex(r"(if m == 0:)\n" + _BODY + "    " + _FLAG_LINE, r"\1")),
     ("drop-pacing-flags",
      "pacing exit leaves without emitting the pending flags",
-     _regex(r"( > lc:)\n" + _BODY + "    " + _FLAG_LINE, r"\1")),
+     _regex(r"(if k == n:)\n" + _BODY + "    " + _FLAG_LINE, r"\1")),
 ]
 
 #: Mutations of :data:`BACK_EDGE_FIXTURE` (same shape as above).
@@ -162,6 +194,30 @@ BACK_EDGE_MUTATIONS: List[Tuple[str, str, Callable[[str], str]]] = [
      "load commits FLAGS before any flag write",
      _regex(r"\n" + _BODY + _FLAG_LINE + r"(?=\n        except Fault)",
             "")),
+]
+
+
+#: Mutations of :data:`REGISTER_LOOP_FIXTURE` (same shape as above).
+REGISTER_LOOP_MUTATIONS: List[Tuple[str, str, Callable[[str], str]]] = [
+    ("trip-bound-off-by-one",
+     "the trip count allows one iteration past the instret limit",
+     _swap("n = (li - ir) // 5", "n = (li - ir) // 5 + 1")),
+    ("trip-bound-cycle-divisor",
+     "the trip count divides the cycle budget by the instructions per "
+     "iteration",
+     _swap("n = (lc - cy) // 8", "n = (lc - cy) // 5")),
+    ("trip-bound-drops-cycles",
+     "the trip count ignores the next device event",
+     _regex(r"\n {8}if lc - cy < [^\n]*\n {12}n = [^\n]*", "")),
+    ("terminator-exit-keeps-register",
+     "the terminator exit leaves R1 in its local",
+     _drop_exit_line("regs[1] = r1", 1)),
+    ("pacing-exit-keeps-register",
+     "the pacing exit leaves R1 in its local",
+     _drop_exit_line("regs[1] = r1", 2)),
+    ("exit-accounting-multiplier",
+     "the terminator exit accounts 4 instructions per iteration, not 5",
+     _swap("ir += 5 * k", "ir += 4 * k")),
 ]
 
 
@@ -211,14 +267,17 @@ def run_harness() -> Tuple[Optional[TvResult], List[MutationOutcome]]:
     baseline = validate_block(meta, block=block, page_gens=page_gens)
     outcomes = _mutate_all(meta, block, page_gens, SOURCE_MUTATIONS)
 
-    edge_meta, edge_block, edge_gens = _compile_fixture(BACK_EDGE_FIXTURE)
-    edge_baseline = validate_block(edge_meta, block=edge_block,
-                                   page_gens=edge_gens)
-    if not edge_baseline.ok:
-        raise RuntimeError(f"back-edge fixture does not validate: "
-                           f"{edge_baseline.failures}")
-    outcomes += _mutate_all(edge_meta, edge_block, edge_gens,
-                            BACK_EDGE_MUTATIONS)
+    for fixture, mutations in ((BACK_EDGE_FIXTURE, BACK_EDGE_MUTATIONS),
+                               (REGISTER_LOOP_FIXTURE,
+                                REGISTER_LOOP_MUTATIONS)):
+        more_meta, more_block, more_gens = _compile_fixture(fixture)
+        more_baseline = validate_block(more_meta, block=more_block,
+                                       page_gens=more_gens)
+        if not more_baseline.ok:
+            raise RuntimeError(f"fixture does not validate: "
+                               f"{more_baseline.failures}")
+        outcomes += _mutate_all(more_meta, more_block, more_gens,
+                                mutations)
 
     # The last mutation tampers the installed guard, not the source:
     # the block tuple bakes in a generation the code was not compiled for.

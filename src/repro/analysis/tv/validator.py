@@ -82,6 +82,8 @@ def _leaf_name(leaf: Tuple[Any, ...]) -> str:
     if leaf[0] == "init-flags":
         return "flags"
     if leaf[0] == "hreg":
+        if leaf[1] == -1:
+            return f"stale cpu.regs[{leaf[2]}]"
         return f"h{leaf[1]}.r{leaf[2]}"
     if leaf == sema.havoc_flags(-1):
         return "uncommitted cpu.flags"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 from typing import Dict, List, Tuple
 
 from repro.fleet.dashboard import build_dashboard
@@ -29,6 +30,9 @@ from repro.fleet.jobs import Job, RetrySchedule
 
 #: Longest request accepted, newline included.
 MAX_REQUEST_BYTES = 64 * 1024
+#: Seconds a connection may take to send its whole request; a silent or
+#: stalled one is then answered with a counted rejection and closed.
+REQUEST_DEADLINE_S = 10.0
 
 
 class ControlServer:
@@ -40,25 +44,27 @@ class ControlServer:
         self._listener = socket.create_server((host, port), backlog=8)
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
-        self._pending: List[Tuple[socket.socket, bytearray]] = []
+        #: (connection, bytes so far, monotonic deadline).
+        self._pending: List[Tuple[socket.socket, bytearray, float]] = []
         self.requests = 0
         self.rejected = 0   # requests answered with "ok": false
 
     def poll(self) -> None:
+        now = time.monotonic()
         while True:
             try:
                 conn, _ = self._listener.accept()
             except (BlockingIOError, OSError):
                 break
             conn.setblocking(False)
-            self._pending.append((conn, bytearray()))
+            self._pending.append((conn, bytearray(),
+                                  now + REQUEST_DEADLINE_S))
         still_pending = []
-        for conn, buffer in self._pending:
+        for conn, buffer, deadline in self._pending:
             try:
                 chunk = conn.recv(65536)
             except BlockingIOError:
-                still_pending.append((conn, buffer))
-                continue
+                chunk = None
             except OSError:
                 conn.close()
                 continue
@@ -66,11 +72,12 @@ class ControlServer:
                 buffer.extend(chunk)
             if len(buffer) > MAX_REQUEST_BYTES:
                 self._reply(conn, {"ok": False, "error": "request too long"})
-                continue
-            if b"\n" not in buffer and chunk:
-                still_pending.append((conn, buffer))
-                continue
-            self._respond(conn, bytes(buffer))
+            elif chunk == b"" or b"\n" in buffer:
+                self._respond(conn, bytes(buffer))
+            elif now >= deadline:
+                self._reply(conn, {"ok": False, "error": "request timed out"})
+            else:
+                still_pending.append((conn, buffer, deadline))
         self._pending = still_pending
 
     def _respond(self, conn: socket.socket, raw: bytes) -> None:
@@ -118,7 +125,7 @@ class ControlServer:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def close(self) -> None:
-        for conn, _ in self._pending:
+        for conn, _buffer, _deadline in self._pending:
             conn.close()
         self._pending.clear()
         self._listener.close()

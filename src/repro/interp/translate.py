@@ -7,7 +7,8 @@ instruction.  This module removes that too, the same way a trace cache
 or a dynamic binary translator does: linear runs of hot guest code are
 stitched into *superblocks* and compiled (via generated Python source +
 ``compile``) into one callable per block, with the register file bound
-to locals and ALU flag updates inlined.
+to a local (each register to its own local in a register-only loop)
+and ALU flag updates inlined.
 
 Hot-spot detection is the classic counter scheme: every taken backward
 control transfer bumps a counter on its target linear PC (a monitor can
@@ -24,6 +25,11 @@ construction and by the differential regression tests:
   at every block exit — so profiler strides, watchdog quanta, fault
   ``at_count`` triggers, device event timing and replay journals are
   byte-identical with translation on.
+* **Register-only loops defer to their exits.**  A loop whose body
+  calls no handler cannot be observed until it leaves, so it keeps the
+  registers it touches in locals ``r<i>`` and counts iterations only;
+  each exit writes the registers back and adds the per-iteration
+  instret/cycle/charge totals times the count ``k``.
 * **Lazy condition flags.**  An inlined instruction's CF/ZF/SF/OF
   formula is left pending and emitted only where FLAGS can be
   observed: before a commit barrier, inside each exit branch (the
@@ -38,9 +44,12 @@ construction and by the differential regression tests:
   ``cpu.block_cycle_limit`` (the next device-event due time), which
   ``Cpu.run`` -- the one run loop, shared by ``Machine.run`` and the
   LVMM -- sets before each step: the dispatcher checks the whole block
-  before entering, and a loop block re-checks the next iteration at
-  its back-edge.  Outside ``Cpu.run`` both limits are 0, so bare
-  ``cpu.step()`` keeps exact single-instruction semantics.
+  before entering, and a loop block turns the same inequality into a
+  trip count at entry, ``n = min((li - ir) // N, (lc - cy) // C)``
+  (computed so that an infinite ``lc`` keeps ``n`` an integer), and
+  leaves by its pacing exit once ``k == n`` iterations ran.  Outside
+  ``Cpu.run`` both limits are 0, so bare ``cpu.step()`` keeps exact
+  single-instruction semantics.
 * **Same invalidation triggers as the decode cache.**  Blocks guard on
   CS descriptor identity, the paging on/off state and the backing
   physical page's write generation, and the whole cache is flushed by
@@ -73,6 +82,7 @@ from repro.analysis.sema import (
     INLINE as _INLINE,
     MEMORY as _MEMORY,
     STORE as _STORE,
+    regs_written,
 )
 from repro.hw import isa
 from repro.hw.cpu import CpuFault
@@ -173,84 +183,74 @@ def _logic_lines(dest: Optional[str], expr: str,
     return lines
 
 
-def _inline_lines(mnemonic: str, ops) -> List[str]:
-    """Generated statements for one inlined instruction."""
+def _inline_lines(mnemonic: str, ops,
+                  reg: Callable[[int], str] = "regs[{}]".format) -> List[str]:
+    """Generated statements for one inlined instruction; ``reg(i)`` names
+    register ``i`` (``regs[i]``, or a local in a register-only loop)."""
     if mnemonic == "NOP":
         return []
     if mnemonic == "MOVI":
-        return [f"regs[{ops[0]}] = {ops[1]}"]
+        return [f"{reg(ops[0])} = {ops[1]}"]
     if mnemonic == "MOV":
-        return [f"regs[{ops[0]}] = regs[{ops[1]}]"]
+        return [f"{reg(ops[0])} = {reg(ops[1])}"]
     if mnemonic == "LEA":
-        return [f"regs[{ops[0]}] = (regs[{ops[1]}] + {ops[2]})"
+        return [f"{reg(ops[0])} = ({reg(ops[1])} + {ops[2]})"
                 " & 4294967295"]
     if mnemonic == "XCHG":
         a, b = ops
-        return [f"regs[{a}], regs[{b}] = regs[{b}], regs[{a}]"]
+        return [f"{reg(a)}, {reg(b)} = {reg(b)}, {reg(a)}"]
     if mnemonic == "ADD":
-        return _add_lines(f"regs[{ops[0]}]",
-                          f"regs[{ops[0]}]", f"regs[{ops[1]}]")
+        return _add_lines(reg(ops[0]), reg(ops[0]), reg(ops[1]))
     if mnemonic == "ADDI":
-        return _add_lines(f"regs[{ops[0]}]", f"regs[{ops[0]}]",
-                          str(ops[1]))
+        return _add_lines(reg(ops[0]), reg(ops[0]), str(ops[1]))
     if mnemonic == "SUB":
-        return _sub_lines(f"regs[{ops[0]}]",
-                          f"regs[{ops[0]}]", f"regs[{ops[1]}]")
+        return _sub_lines(reg(ops[0]), reg(ops[0]), reg(ops[1]))
     if mnemonic == "SUBI":
-        return _sub_lines(f"regs[{ops[0]}]", f"regs[{ops[0]}]",
-                          str(ops[1]))
+        return _sub_lines(reg(ops[0]), reg(ops[0]), str(ops[1]))
     if mnemonic == "CMP":
-        return _sub_lines(None, f"regs[{ops[0]}]", f"regs[{ops[1]}]")
+        return _sub_lines(None, reg(ops[0]), reg(ops[1]))
     if mnemonic == "CMPI":
-        return _sub_lines(None, f"regs[{ops[0]}]", str(ops[1]))
+        return _sub_lines(None, reg(ops[0]), str(ops[1]))
     if mnemonic == "NEG":
-        return _sub_lines(f"regs[{ops}]", "0", f"regs[{ops}]")
+        return _sub_lines(reg(ops), "0", reg(ops))
     if mnemonic == "AND":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] & regs[{ops[1]}]", False)
+        return _logic_lines(reg(ops[0]),
+                            f"{reg(ops[0])} & {reg(ops[1])}", False)
     if mnemonic == "ANDI":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] & {ops[1]}", False)
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} & {ops[1]}", False)
     if mnemonic == "OR":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] | regs[{ops[1]}]", False)
+        return _logic_lines(reg(ops[0]),
+                            f"{reg(ops[0])} | {reg(ops[1])}", False)
     if mnemonic == "ORI":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] | {ops[1]}", False)
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} | {ops[1]}", False)
     if mnemonic == "XOR":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] ^ regs[{ops[1]}]", False)
+        return _logic_lines(reg(ops[0]),
+                            f"{reg(ops[0])} ^ {reg(ops[1])}", False)
     if mnemonic == "XORI":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] ^ {ops[1]}", False)
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} ^ {ops[1]}", False)
     if mnemonic == "TEST":
-        return _logic_lines(None,
-                            f"regs[{ops[0]}] & regs[{ops[1]}]", False)
+        return _logic_lines(None, f"{reg(ops[0])} & {reg(ops[1])}", False)
     if mnemonic == "SHL":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] << (regs[{ops[1]}] & 31)")
+        return _logic_lines(reg(ops[0]),
+                            f"{reg(ops[0])} << ({reg(ops[1])} & 31)")
     if mnemonic == "SHLI":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] << {ops[1] & 31}")
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} << {ops[1] & 31}")
     if mnemonic == "SHR":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] >> (regs[{ops[1]}] & 31)",
+        return _logic_lines(reg(ops[0]),
+                            f"{reg(ops[0])} >> ({reg(ops[1])} & 31)",
                             False)
     if mnemonic == "SHRI":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] >> {ops[1] & 31}", False)
+        return _logic_lines(reg(ops[0]),
+                            f"{reg(ops[0])} >> {ops[1] & 31}", False)
     if mnemonic == "MUL":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] * regs[{ops[1]}]")
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} * {reg(ops[1])}")
     if mnemonic == "MULI":
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] * {ops[1]}")
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} * {ops[1]}")
     if mnemonic == "DIVI":
         # Only reached with a non-zero immediate (checked at trace time).
-        return _logic_lines(f"regs[{ops[0]}]",
-                            f"regs[{ops[0]}] // {ops[1]}", False)
+        return _logic_lines(reg(ops[0]), f"{reg(ops[0])} // {ops[1]}", False)
     if mnemonic == "NOT":
-        return _logic_lines(f"regs[{ops}]", f"~regs[{ops}]")
+        return _logic_lines(reg(ops), f"~{reg(ops)}")
     raise AssertionError(f"no inline emitter for {mnemonic}")
 
 
@@ -450,6 +450,28 @@ class SuperblockEngine:
         total_cycles = sum(spec.cycles for _pc, spec, _o in insns)
         has_mem = any(spec.mnemonic in _MEMORY for _pc, spec, _o in body)
         has_store = any(spec.mnemonic in _STORE for _pc, spec, _o in body)
+        # A register-only loop (no handler in its body) cannot be
+        # observed until it exits: it keeps the registers it touches in
+        # locals ``r<i>`` and leaves its accounting to its exits, which
+        # add the per-iteration totals times the iteration count ``k``.
+        deferred = loop and all(spec.mnemonic in _INLINE
+                                for _pc, spec, _o in body)
+        touched: Set[int] = set()
+
+        def local_reg(index: int) -> str:
+            touched.add(index)
+            return f"r{index}"
+
+        reg = local_reg if deferred else "regs[{}]".format
+        exit_commit: List[str] = []
+        if deferred:
+            written = {index for _pc, spec, ops in body
+                       for index in regs_written(spec.mnemonic, ops)}
+            exit_commit = [f"regs[{index}] = r{index}"
+                           for index in sorted(written)]
+            exit_commit += [f"ir += {total_insns} * k",
+                            f"cy += {total_cycles} * k",
+                            f"chg += {total_cycles} * k"]
 
         handlers: List[Tuple[str, object]] = []
         src: List[str] = []
@@ -485,7 +507,7 @@ class SuperblockEngine:
         def exit_branch(target: int) -> List[str]:
             lines = [flags[0]] if flags[0] else []
             return ["    " + line for line in
-                    lines + [f"cpu.pc = {target}", "break"]]
+                    lines + exit_commit + [f"cpu.pc = {target}", "break"]]
 
         # Does a handler observe FLAGS before the body's first flag
         # write?  Then a formula pending at the back-edge must be
@@ -496,7 +518,7 @@ class SuperblockEngine:
         for pc, spec, operands in body:
             mnemonic = spec.mnemonic
             if mnemonic in _INLINE:
-                lines = _inline_lines(mnemonic, operands)
+                lines = _inline_lines(mnemonic, operands, reg)
                 if lines and lines[-1].startswith("f = "):
                     flags[0] = lines.pop()
                     wrote_flags = True
@@ -539,7 +561,10 @@ class SuperblockEngine:
         if terminator:
             pending[0] += 1
             pending[1] += last_spec.cycles
-        body_lines += flush_pending()
+        if not deferred:
+            body_lines += flush_pending()
+        if loop:
+            body_lines.append("k += 1")
         if not loop:
             body_lines += materialize()
             if terminator is None:
@@ -560,12 +585,10 @@ class SuperblockEngine:
                     body_lines += materialize()
                     test = _COND[terminator][1]
                 body_lines += [f"if {test}:"] + exit_branch(fall_through)
-            # Pacing re-check for the next iteration, at the back-edge:
-            # the dispatcher's entry guard is the same inequality, so it
-            # already covers the first one.
-            body_lines += [f"if ir + {total_insns} > li"
-                           f" or cy + {total_cycles} > lc:"]
-            body_lines += exit_branch(entry_pc)
+            # Pacing, at the back-edge: leave once the trip count fixed
+            # at entry is done (the dispatcher's entry guard already
+            # proved the first iteration fits).
+            body_lines += ["if k == n:"] + exit_branch(entry_pc)
             if observed_first:
                 body_lines += materialize()
 
@@ -586,8 +609,18 @@ class SuperblockEngine:
         if has_store:
             emit("        gens = cpu.memory.page_gens")
         if loop:
+            # The trip count: the most whole iterations the dispatcher's
+            # inequality allows, ``ir + N*n <= li and cy + C*n <= lc``.
+            # ``lc`` is infinite with no event source; the cycle term
+            # then never binds, so ``n`` and ``k`` stay exact integers.
             emit("        li = cpu.block_instret_limit")
             emit("        lc = cpu.block_cycle_limit")
+            emit(f"        n = (li - ir) // {total_insns}")
+            emit(f"        if lc - cy < {total_cycles} * n:")
+            emit(f"            n = (lc - cy) // {total_cycles}")
+            emit("        k = 0")
+            for index in sorted(touched):
+                emit(f"        r{index} = regs[{index}]")
         emit("        try:")
         emit("            while True:")
         emit_block(body_lines or ["break"], " " * 16)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.fleet import control
 from repro.fleet.control import MAX_REQUEST_BYTES, ControlServer
 from repro.fleet.supervisor import Fleet, FleetConfig
 
@@ -108,3 +109,28 @@ class TestControlRobustness:
         rejected = server.rejected
         assert json.loads(exchange(server, raw))["ok"] is True
         assert server.rejected == rejected
+
+    def test_silent_and_stalled_connections_time_out(self, server,
+                                                     monkeypatch):
+        """A connection that sends nothing, or stops mid-request, is
+        answered with one counted rejection once its deadline passes,
+        and closed; the next client is served."""
+        monkeypatch.setattr(control, "REQUEST_DEADLINE_S", 0.2)
+        requests, rejected = server.requests, server.rejected
+        idle = [socket.create_connection(server.address, timeout=3)
+                for _ in range(3)]
+        idle[0].sendall(b'{"op": "sta')
+        end = time.monotonic() + 1.0
+        while time.monotonic() < end:
+            server.poll()
+            time.sleep(0.01)
+        for conn in idle:
+            with conn, conn.makefile("rb") as stream:
+                reply = json.loads(stream.readline())
+                assert reply == {"ok": False, "error": "request timed out"}
+                assert stream.read() == b""
+        assert (server.requests, server.rejected) == (requests + 3,
+                                                      rejected + 3)
+        status = json.loads(exchange(server, b'{"op": "status"}\n'))
+        assert status["ok"] is True
+        assert server.rejected == rejected + 3

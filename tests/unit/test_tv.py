@@ -97,6 +97,29 @@ class TestValidatorOnCorrectBlocks:
         assert result.proofs["concrete"] == 0
 
 
+    def test_busy_loop_validates_in_counted_form(self):
+        """The guest kernel's busy loop keeps R2 in a local, paces by a
+        trip count and accounts its iterations at its two exits."""
+        report = validate_program(assemble("""
+            MOVI R2, 2000
+        loop:
+            SUBI R2, 1
+            JNZ  loop
+            HLT
+        """, origin=ORIGIN))
+        (result,) = report.results
+        assert result.ok, report.format_text()
+        assert result.proofs["concrete"] == 0
+        cpu = make_cpu()
+        program = load(cpu, "MOVI R2, 2000\nloop:\nSUBI R2, 1\n"
+                            "JNZ loop\nHLT")
+        cpu.run(100)
+        source = cpu._sb_engine.block_meta[program.symbol("loop")].source
+        for line in ("r2 = regs[2]", "if k == n:", "ir += 2 * k"):
+            assert line in source
+        assert source.count("regs[2] = r2") == 2
+
+
 class TestValidatorRejections:
     def _fixture(self):
         meta, block, page_gens = _compile_fixture()

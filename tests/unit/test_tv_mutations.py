@@ -3,6 +3,7 @@ worse than none, so CI requires every seeded miscompile to be caught."""
 
 from repro.analysis.tv.mutate import (
     BACK_EDGE_MUTATIONS,
+    REGISTER_LOOP_MUTATIONS,
     SOURCE_MUTATIONS,
     main as mutate_main,
     run_harness,
@@ -10,11 +11,11 @@ from repro.analysis.tv.mutate import (
 
 
 class TestMutationKill:
-    def test_all_twenty_one_mutations_are_killed(self):
+    def test_all_twenty_seven_mutations_are_killed(self):
         baseline, outcomes = run_harness()
         assert baseline is not None and baseline.ok, \
             "fixture block must validate before mutation"
-        assert len(outcomes) == 21
+        assert len(outcomes) == 27
         missed = [o.name for o in outcomes if not o.killed]
         assert not missed, f"validator missed mutations: {missed}"
 
@@ -28,8 +29,12 @@ class TestMutationKill:
         assert {"drop-loop-head-flags", "drop-loop-head-instret",
                 "drop-loop-head-cycles", "drop-back-edge-flags"} \
             <= {name for name, _desc, _fn in BACK_EDGE_MUTATIONS}
+        assert {"trip-bound-off-by-one", "trip-bound-cycle-divisor",
+                "trip-bound-drops-cycles", "terminator-exit-keeps-register",
+                "pacing-exit-keeps-register", "exit-accounting-multiplier"} \
+            == {name for name, _desc, _fn in REGISTER_LOOP_MUTATIONS}
 
     def test_cli_entry_point_exits_zero(self, capsys):
         assert mutate_main([]) == 0
         out = capsys.readouterr().out
-        assert "21/21 mutations killed" in out
+        assert "27/27 mutations killed" in out
